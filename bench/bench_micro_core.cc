@@ -173,7 +173,7 @@ void RunHostMicroTables() {
     MicroWorld w;
     IkBroker broker(&w.kernel, RelaxationPolicy(PolicyLevel::kSocketRw));
     Thread* t =
-        w.kernel.SpawnThread(w.process, [](Guest& g) -> GuestTask<void> { co_return; });
+        w.kernel.SpawnThread(w.process, [](Guest&) -> GuestTask<void> { co_return; });
     t->cur_req.nr = Sys::kRead;
     double ns = NsPerOp(kIters, [&] {
       uint64_t token = broker.IssueToken(t);

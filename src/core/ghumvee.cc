@@ -119,7 +119,7 @@ GuestTask<void> Ghumvee::MonitorLoop() {
         auto it = ranks_.find(rank);
         if (it != ranks_.end() && it->second.phase == RankState::Phase::kMasterExecuting &&
             ReplicaIndexOf(t->process()) == 0) {
-          co_await ReplicateMasterResults(rank, it->second, t, t->cur_result);
+          co_await ReplicateMasterResults(it->second, t, t->cur_result);
           break;
         }
         HandleExitStop(t);
@@ -316,15 +316,15 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
   kernel_->PtraceResume(master_thread, PtraceAction{});
 }
 
-GuestTask<void> Ghumvee::ReplicateMasterResults(int rank, RankState& rs,
-                                                Thread* master_thread, int64_t result) {
+GuestTask<void> Ghumvee::ReplicateMasterResults(RankState& rs, Thread* master_thread,
+                                                int64_t result) {
   const CostModel& costs = kernel_->sim()->costs();
   Sys nr = rs.req.nr;
 
   // FD bookkeeping feeds the IP-MON file map (§3.6).
   TrackFds(master_thread->cur_req, result);
   if ((nr == Sys::kOpen || nr == Sys::kOpenat) && result >= 0) {
-    FilterMapsContent(master_thread, master_thread->cur_req, result);
+    FilterMapsContent(master_thread->cur_req, result);
   }
 
   // Copy out-regions from the master and write them into each slave at the slave's
@@ -641,8 +641,7 @@ void Ghumvee::TrackFds(const SyscallRequest& req, int64_t result) {
   }
 }
 
-void Ghumvee::FilterMapsContent(Thread* master_thread, const SyscallRequest& req,
-                                int64_t fd) {
+void Ghumvee::FilterMapsContent(const SyscallRequest& req, int64_t fd) {
   auto path = replicas_[0]->mem().ReadCString(req.arg(req.nr == Sys::kOpenat ? 1 : 0));
   if (!path || path->find("/maps") == std::string::npos) {
     return;

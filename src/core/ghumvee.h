@@ -118,7 +118,7 @@ class Ghumvee {
   GuestTask<void> MonitorLoop();
   GuestTask<void> HandleEntryStop(Thread* t);
   GuestTask<void> RunLockstep(int rank, RankState& rs);
-  GuestTask<void> ReplicateMasterResults(int rank, RankState& rs, Thread* master_thread,
+  GuestTask<void> ReplicateMasterResults(RankState& rs, Thread* master_thread,
                                          int64_t result);
   void HandleExitStop(Thread* t);
   GuestTask<void> HandleSignalStop(const PtraceEvent& ev);
@@ -131,7 +131,7 @@ class Ghumvee {
   // Updates the FD metadata (file map) after a successful FD-lifecycle call.
   void TrackFds(const SyscallRequest& req, int64_t result);
   // Rewrites the master's open /proc/<pid>/maps snapshot to hide IP-MON and the RB.
-  void FilterMapsContent(Thread* master_thread, const SyscallRequest& req, int64_t fd);
+  void FilterMapsContent(const SyscallRequest& req, int64_t fd);
 
   // Deferred-signal plumbing (§2.2 / §3.8).
   void DeferSignal(Thread* t, int sig);

@@ -18,8 +18,9 @@ constexpr uint64_t kRankOffResetDone = 0;
 constexpr uint64_t kRankOffBarrierGen = 8;  // + 8 * replica_index.
 
 void AppendU64To(std::vector<uint8_t>* out, uint64_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), p, p + 8);
+  size_t at = out->size();
+  out->resize(at + 8);
+  std::memcpy(out->data() + at, &v, 8);
 }
 
 uint64_t TakeU64(const std::vector<uint8_t>& in, size_t* pos) {
@@ -156,7 +157,7 @@ bool IpMon::NeedsGhumvee(Thread* t, const SyscallRequest& req) const {
   return !policy_.AllowsUnmonitored(req.nr, EffectiveFdType(process_, req, *file_map_));
 }
 
-void IpMon::RecordEpollShadow(Thread* t, const SyscallRequest& req) {
+void IpMon::RecordEpollShadow(const SyscallRequest& req) {
   if (req.nr != Sys::kEpollCtl) {
     return;
   }
@@ -181,8 +182,7 @@ void IpMon::RecordEpollShadowDirect(int epfd, int op, int fd, uint64_t data) {
   epoll_shadow_.Record(epfd, op, fd, data);
 }
 
-std::vector<uint8_t> IpMon::BuildResultPayload(Thread* t, const SyscallRequest& req,
-                                               int64_t ret) {
+std::vector<uint8_t> IpMon::BuildResultPayload(const SyscallRequest& req, int64_t ret) {
   std::vector<OutRegion> regions = CollectOutRegions(process_, req, ret);
   std::vector<uint8_t> payload;
   AppendU64To(&payload, regions.size());
@@ -211,7 +211,7 @@ std::vector<uint8_t> IpMon::BuildResultPayload(Thread* t, const SyscallRequest& 
   return payload;
 }
 
-void IpMon::ApplyResultPayload(Thread* t, const SyscallRequest& req, int64_t ret,
+void IpMon::ApplyResultPayload(const SyscallRequest& req, int64_t ret,
                                const std::vector<uint8_t>& payload) {
   std::vector<OutRegion> regions = CollectOutRegions(process_, req, ret);
   size_t pos = 0;
@@ -245,7 +245,7 @@ void IpMon::ApplyResultPayload(Thread* t, const SyscallRequest& req, int64_t ret
   }
 }
 
-void IpMon::IntentionalCrash(Thread* t, const SyscallRequest& req, uint64_t seq) {
+void IpMon::IntentionalCrash(Thread* t) {
   // The paper's IP-MON triggers a deliberate crash so the ptrace machinery informs
   // GHUMVEE, which then shuts the MVEE down.
   ++kernel_->stats().divergences_detected;
@@ -489,7 +489,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   // derive from argument values that are identical across replicas, so every replica
   // computes the same size and the cursors stay in lockstep.
   std::vector<uint8_t> sig = SerializeCallSignature(process_, req);
-  uint64_t out_cap = EstimateDataSize(process_, req);
+  uint64_t out_cap = EstimateDataSize(req);
   uint64_t entry_size = RbEntryOps::EntrySize(sig.size(), out_cap + 16);
   co_await ThreadCost{t, costs.RbCopyCost(sig.size())};
 
@@ -534,7 +534,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   cursor_[static_cast<size_t>(rank)] += entry_size;
   uint64_t my_seq = seq_[static_cast<size_t>(rank)]++;
 
-  RecordEpollShadow(t, req);
+  RecordEpollShadow(req);
 
   bool signals_pending = rb_.SignalsPending();
   uint32_t flags = kRbFlagMasterCall;
@@ -615,7 +615,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   }
 
   // POSTCALL: replicate results — eagerly, or deferred into the rank's batch.
-  std::vector<uint8_t> payload = BuildResultPayload(t, req, r);
+  std::vector<uint8_t> payload = BuildResultPayload(req, r);
   co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
   if (batchable && payload.size() <= config_.rb_batch_entry_bytes) {
     RbBatch& batch = batch_[static_cast<size_t>(rank)];
@@ -653,7 +653,7 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) 
 
   // Same CALCSIZE as the master: identical entry size, identical overflow decision.
   std::vector<uint8_t> sig = SerializeCallSignature(process_, req);
-  uint64_t out_cap = EstimateDataSize(process_, req);
+  uint64_t out_cap = EstimateDataSize(req);
   uint64_t entry_size = RbEntryOps::EntrySize(sig.size(), out_cap + 16);
   co_await ThreadCost{t, costs.RbCopyCost(sig.size())};
 
@@ -671,9 +671,9 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) 
   }
   uint64_t entry_off = cursor_[static_cast<size_t>(rank)];
   cursor_[static_cast<size_t>(rank)] += entry_size;
-  uint64_t my_seq = seq_[static_cast<size_t>(rank)]++;
+  ++seq_[static_cast<size_t>(rank)];
 
-  RecordEpollShadow(t, req);
+  RecordEpollShadow(req);
 
   // Wait for the master's PRECALL commit.
   while (rb_.ReadU32(entry_off + kRbOffState) < kRbArgsReady) {
@@ -689,7 +689,7 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) 
   std::vector<uint8_t> master_sig = RbEntryOps::ReadSignature(rb_, entry_off);
   co_await ThreadCost{t, costs.CompareCost(sig.size())};
   if (master_sig != sig) {
-    IntentionalCrash(t, req, my_seq);
+    IntentionalCrash(t);
     co_return;  // The syscall never completes; GHUMVEE shuts the MVEE down.
   }
 
@@ -725,7 +725,7 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) 
 
   std::vector<uint8_t> payload = RbEntryOps::ReadPayload(rb_, entry_off);
   co_await ThreadCost{t, costs.RbCopyCost(payload.size())};
-  ApplyResultPayload(t, req, hdr.result, payload);
+  ApplyResultPayload(req, hdr.result, payload);
   broker_->RevokeToken(t);
   ++stats.syscalls_unmonitored;
   kernel_->CompleteSyscall(t, hdr.result);
@@ -856,7 +856,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
   int rank = t->rank();
   REMON_CHECK(rank < config_.max_ranks);
   std::vector<uint8_t> sig = SerializeCallSignature(process_, req);
-  uint64_t out_cap = EstimateDataSize(process_, req);
+  uint64_t out_cap = EstimateDataSize(req);
   uint64_t entry_size = RbEntryOps::EntrySize(sig.size(), out_cap + 16);
   co_await ThreadCost{t, costs.RbCopyCost(sig.size())};
 
@@ -875,7 +875,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
   cursor_[static_cast<size_t>(rank)] += entry_size;
   uint64_t my_seq = seq_[static_cast<size_t>(rank)]++;
 
-  RecordEpollShadow(t, req);
+  RecordEpollShadow(req);
 
   if (is_master()) {
     uint32_t flags =
@@ -888,7 +888,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
 
     int64_t r = co_await ExecDirect{t, req};
 
-    std::vector<uint8_t> payload = BuildResultPayload(t, req, r);
+    std::vector<uint8_t> payload = BuildResultPayload(req, r);
     co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
     uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
     StateWordQueue(entry_off)->Wake();
@@ -933,7 +933,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
     hdr = RbEntryOps::ReadHeader(rb_, entry_off);
     std::vector<uint8_t> payload = RbEntryOps::ReadPayload(rb_, entry_off);
     co_await ThreadCost{t, costs.RbCopyCost(payload.size())};
-    ApplyResultPayload(t, req, hdr.result, payload);
+    ApplyResultPayload(req, hdr.result, payload);
     ++stats.syscalls_unmonitored;
     kernel_->CompleteSyscall(t, hdr.result);
   }

@@ -234,18 +234,18 @@ class IpMon {
   // Builds the result payload from this (master) replica's memory after execution:
   // concatenated out-regions, with epoll_event.data values translated to FDs through
   // the shadow mapping (paper §3.9).
-  std::vector<uint8_t> BuildResultPayload(Thread* t, const SyscallRequest& req, int64_t ret);
+  std::vector<uint8_t> BuildResultPayload(const SyscallRequest& req, int64_t ret);
   // Applies a payload to this (slave) replica's memory, translating FDs back to this
   // replica's epoll data values.
-  void ApplyResultPayload(Thread* t, const SyscallRequest& req, int64_t ret,
+  void ApplyResultPayload(const SyscallRequest& req, int64_t ret,
                           const std::vector<uint8_t>& payload);
 
   // Records the (epfd, fd) -> data association from this replica's own epoll_ctl
   // arguments (both master and slaves record before the call is aborted in slaves).
-  void RecordEpollShadow(Thread* t, const SyscallRequest& req);
+  void RecordEpollShadow(const SyscallRequest& req);
 
   // Raises the intentional crash that signals GHUMVEE about an argument mismatch.
-  void IntentionalCrash(Thread* t, const SyscallRequest& req, uint64_t seq);
+  void IntentionalCrash(Thread* t);
 
   // The futex wait queue for the entry's state word.
   WaitQueue* StateWordQueue(uint64_t entry_off);

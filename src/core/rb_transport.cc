@@ -139,16 +139,12 @@ void RbTransport::EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snaps
     ++stats.rb_snapshot_frames_sent;
     stats.rb_frame_bytes_sent += frame.size();
     stats.rb_snapshot_bytes_sent += frame.size();
-    if (snapshot.delta) {
-      stats.rb_snapshot_delta_bytes_sent += frame.size();
-    }
     RbEpochStats& row = stats.EpochRow(epoch_);
     ++row.frames_sent;
     ++row.snapshot_frames;
     r.sendq.push_back(std::move(frame));
   };
-  enqueue(snapshot.delta ? RbFrameType::kSnapshotDelta : RbFrameType::kSnapshotBegin,
-          snapshot.begin);
+  enqueue(RbFrameType::kSnapshotDelta, snapshot.begin);
   for (const std::vector<uint8_t>& chunk : snapshot.chunks) {
     enqueue(RbFrameType::kSnapshotChunk, chunk);
   }
@@ -765,14 +761,9 @@ void RemoteSyncAgent::HandleSnapshotFrame(const RbWireFrame& frame) {
   bool ok = false;
   std::string why;
   switch (frame.type) {
-    case RbFrameType::kSnapshotBegin:
-      assembler_.Reset();
-      ok = assembler_.Begin(frame.payload);
-      why = assembler_.error();
-      break;
     case RbFrameType::kSnapshotDelta:
       assembler_.Reset();
-      ok = assembler_.BeginDelta(frame.payload);
+      ok = assembler_.Begin(frame.payload);
       why = assembler_.error();
       break;
     case RbFrameType::kSnapshotChunk:

@@ -41,7 +41,7 @@
 // attach a *replacement* replica at the post-bump epoch (Remon::SpawnReplacement /
 // --respawn-on-death). AddReplacement revives the dead remote's slot on a fresh
 // connection whose first sequenced frames are the leader checkpoint
-// (kSnapshotBegin/kSnapshotChunk/kSnapshotEnd, src/core/snapshot.h); data frames
+// (kSnapshotDelta/kSnapshotChunk/kSnapshotEnd, src/core/snapshot.h); data frames
 // published afterwards queue behind it in order, so the replacement's mirror is
 // exactly the leader's RB at every point it observes. Snapshot frames obey the
 // same in-flight bound and cumulative acks as entry frames — a large checkpoint
@@ -51,8 +51,8 @@
 // cumulative acks into a per-slot RbDeltaBasis — per rank, the highest entry
 // offset the replica provably applied, plus the send-time file-map/epoll version
 // horizons. A replacement for a replica whose basis is still usable gets a
-// kSnapshotDelta checkpoint that resumes at those offsets instead of re-shipping
-// the whole RB, which is what keeps recovery cost flat as buffers grow.
+// checkpoint that resumes at those offsets instead of re-shipping the whole RB
+// (the empty basis), which is what keeps recovery cost flat as buffers grow.
 //
 // Respawn-as-migration: DetachForMigration retires a live remote's link without
 // the death side effects, so the front end can re-attach the same replica on a
@@ -191,8 +191,8 @@ class RbTransport {
   }
 
   // What the leader knows `replica_index`'s mirror already holds, folded from its
-  // cumulative acks: the horizon Remon::MakeReseedPayloads cuts an O(delta)
-  // checkpoint against. Survives death on purpose — it describes the mirror the
+  // cumulative acks: the horizon Remon::MakeReseedPayloads cuts a checkpoint
+  // against. Survives death on purpose — it describes the mirror the
   // dead replica leaves behind, which is exactly what its replacement resumes
   // from. Invalid (default) for a replica this transport never served.
   RbDeltaBasis DeltaBasisFor(int replica_index) const;

@@ -216,7 +216,8 @@ RbFrameParser::Status RbFrameParser::Next(RbWireFrame* out) {
   }
   uint16_t type = PeekU16(kOffType);
   if (type < static_cast<uint16_t>(RbFrameType::kEntries) ||
-      type > static_cast<uint16_t>(RbFrameType::kSnapshotDelta)) {
+      type > static_cast<uint16_t>(RbFrameType::kSnapshotDelta) ||
+      type == kRbRetiredSnapshotBeginType) {
     return Corrupt("unknown frame type");
   }
   uint32_t payload_len = PeekU32(kOffPayloadLen);

@@ -44,7 +44,7 @@
 // (state and waiter words included for alignment, but the receiver must preserve
 // the mirror's own state/waiter words and flip the state word last).
 //
-// kSnapshotBegin / kSnapshotChunk / kSnapshotEnd carry the replica re-seed
+// kSnapshotDelta / kSnapshotChunk / kSnapshotEnd carry the replica re-seed
 // checkpoint (src/core/snapshot.h) that attaches a replacement replica to a live
 // replica set after an epoch bump. They are sequenced data frames: each carries a
 // frame_seq, counts against the in-flight bound, and is cumulatively acknowledged
@@ -52,12 +52,12 @@
 // frames instead of monopolizing the link. Their payloads are opaque at this
 // layer (the snapshot codec owns them); entry_count is 0.
 //
-// kSnapshotDelta (since v5) replaces kSnapshotBegin when the leader cuts an
-// O(delta) checkpoint against the replacement's acknowledged replay state: the
-// payload announces per-rank resume offsets, the leader's RB reset generation
-// (the lap guard), dirty file-map pages, dirty epoll-shadow rows, and the
-// sync-log slots past the replica's replay cursor. The chunk/end framing and
-// the chained CRC are identical to the full path; docs/RB_WIRE_FORMAT.md
+// kSnapshotDelta (since v5; the only checkpoint opener since v6) announces the
+// checkpoint's basis: per-rank resume offsets, the leader's RB reset generation
+// (the lap guard), the file-map pages and epoll-shadow rows written past the
+// basis, and the sync-log slots past it. A full checkpoint is the delta against
+// the empty basis. Type code 3 (kSnapshotBegin, the v2–v5 full-checkpoint opener)
+// is retired: the parser rejects it as corrupt. docs/RB_WIRE_FORMAT.md
 // ("SNAPSHOT_DELTA") is the normative payload layout.
 //
 // kJoinAttest (agent -> leader, since v4) opens an authenticated connection: the
@@ -107,8 +107,10 @@ inline constexpr uint32_t kRbWireMagic = 0x46574252;  // "RBWF" little-endian.
 // multi-threaded replicas); version 4 added kJoinAttest, the ack-piggybacked
 // sync-log replay cursor, and the authenticated-stream MAC trailer; version 5
 // added kSnapshotDelta (O(delta) re-seed) and the attested placement field
-// (respawn-as-migration).
-inline constexpr uint16_t kRbWireVersion = 5;
+// (respawn-as-migration); version 6 retired kSnapshotBegin, leaving kSnapshotDelta
+// as the one checkpoint opener (a full checkpoint is a delta against the empty
+// basis).
+inline constexpr uint16_t kRbWireVersion = 6;
 inline constexpr uint64_t kRbWireHeaderSize = 48;
 inline constexpr uint64_t kRbWireEntryHeaderSize = 16;
 inline constexpr uint64_t kRbWireSyncRecordSize = 8;
@@ -120,9 +122,9 @@ inline constexpr uint32_t kRbWireMaxPayload = 1u << 24;
 enum class RbFrameType : uint16_t {
   kEntries = 1,  // Leader -> remote agent: published RB entries.
   kAck = 2,      // Remote agent -> leader: cumulative application acknowledgment.
-  // Replica re-seed (leader -> replacement agent): checkpoint metadata, one RB
-  // image chunk, and the commit record closing the snapshot (src/core/snapshot.h).
-  kSnapshotBegin = 3,
+  // Replica re-seed (leader -> replacement agent): one RB image chunk, and the
+  // commit record closing the snapshot (src/core/snapshot.h). Code 3 is the
+  // retired v2–v5 full-checkpoint opener (kRbRetiredSnapshotBeginType).
   kSnapshotChunk = 4,
   kSnapshotEnd = 5,
   // Leader -> remote agent: appended sync-agent log records (src/core/sync_agent.h).
@@ -130,18 +132,22 @@ enum class RbFrameType : uint16_t {
   // Remote agent -> leader: authenticated-join attestation (identity + config
   // digest + replay cursor), the first frame of an authenticated connection.
   kJoinAttest = 7,
-  // Leader -> replacement agent (since v5): opens an O(delta) re-seed instead of
-  // kSnapshotBegin — per-rank resume offsets, reset-generation lap guard, dirty
-  // file-map/epoll rows, and sync-log slots past the replica's acked cursor.
+  // Leader -> replacement agent (since v5): opens every re-seed — per-rank resume
+  // offsets, reset-generation lap guard, file-map/epoll rows and sync-log slots
+  // past the checkpoint's basis (the empty basis for a full checkpoint).
   kSnapshotDelta = 8,
 };
+
+// The retired kSnapshotBegin type code: never sent since v6, and rejected by the
+// parser as an unknown frame type.
+inline constexpr uint16_t kRbRetiredSnapshotBeginType = 3;
 
 inline constexpr uint64_t kRbWireAttestPayloadSize = 32;
 
 // True for the frame types that carry a snapshot payload opaque to this layer.
 inline constexpr bool IsSnapshotFrameType(RbFrameType t) {
-  return t == RbFrameType::kSnapshotBegin || t == RbFrameType::kSnapshotChunk ||
-         t == RbFrameType::kSnapshotEnd || t == RbFrameType::kSnapshotDelta;
+  return t == RbFrameType::kSnapshotChunk || t == RbFrameType::kSnapshotEnd ||
+         t == RbFrameType::kSnapshotDelta;
 }
 
 // IEEE 802.3 CRC-32 (reflected, init/xorout 0xffffffff), software table.

@@ -456,29 +456,26 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
 SnapshotPayloads Remon::MakeReseedPayloads(int replica_index,
                                            uint64_t sync_read_cursor) {
   IpMon* master = ipmons_[0].get();
-  const SyncAgent* sync_master = sync_agent(0);
+  // The empty basis (--reseed=full, and the fallback) ships the whole leader
+  // state; a usable acked horizon ships only what the replacement lacks. Usable
+  // means it still describes the leader's current RB: a reset in between rebased
+  // every offset. The sync log needs no check of its own — the wrap gate froze
+  // the dead replica's cursor, so the slice past it always fits one lap.
+  RbDeltaBasis basis;
   if (options_.reseed_mode == ReseedMode::kDelta && transport_ != nullptr) {
-    RbDeltaBasis basis = transport_->DeltaBasisFor(replica_index);
-    // Usable means the acked horizon still describes the leader's current RB: the
-    // reset generation must match (a reset in between rebased every offset), and
-    // the sync-log slice [cursor, tail) must still fit one lap of the circular
-    // log (wrapped past means slots the replacement never replayed are gone).
-    bool usable = basis.valid && basis.reset_generation == master->rb_resets();
-    if (usable && sync_master != nullptr && sync_master->log_valid()) {
-      uint64_t tail = sync_master->tail();
-      usable = sync_read_cursor <= tail &&
-               tail - sync_read_cursor <= sync_master->capacity();
+    basis = transport_->DeltaBasisFor(replica_index);
+    if (!basis.valid || basis.reset_generation != master->rb_resets()) {
+      basis = RbDeltaBasis{};
+      ++kernel_->stats().rb_snapshot_full_fallbacks;
     }
-    if (usable) {
-      ++kernel_->stats().rb_snapshot_delta_captures;
-      return SerializeSnapshot(CaptureLeaderDelta(master, ghumvee_.get(),
-                                                  sync_master, sync_read_cursor,
-                                                  basis));
-    }
-    ++kernel_->stats().rb_snapshot_full_fallbacks;
   }
-  return SerializeSnapshot(CaptureLeaderSnapshot(master, ghumvee_.get(), sync_master,
-                                                 sync_read_cursor));
+  SnapshotPayloads payloads = SerializeSnapshot(CaptureLeaderSnapshot(
+      master, ghumvee_.get(), sync_agent(0), sync_read_cursor, basis));
+  if (basis.valid) {
+    ++kernel_->stats().rb_snapshot_delta_captures;
+    kernel_->stats().rb_snapshot_delta_bytes_sent += payloads.wire_bytes();
+  }
+  return payloads;
 }
 
 void Remon::DecayRespawnBudget(int replica_index) {

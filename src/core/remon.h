@@ -37,8 +37,9 @@ std::string_view MveeModeName(MveeMode mode);
 
 // How a replacement replica's checkpoint is cut (Remon::MakeReseedPayloads):
 // kDelta resumes from the dead replica's ack-folded horizon when that basis is
-// usable and falls back to full otherwise; kFull always ships the whole leader
-// state (--reseed=full, the ablation baseline the delta sweep compares against).
+// usable and falls back to the empty basis otherwise; kFull always cuts against
+// the empty basis, shipping the whole leader state (--reseed=full, the ablation
+// baseline the delta sweep compares against).
 enum class ReseedMode { kDelta, kFull };
 
 struct RemonOptions {
@@ -155,11 +156,10 @@ class Remon {
   // first (no death event, no respawn-budget charge), and the join attestation
   // must present the new placement. -1 keeps the current placement.
   bool SpawnReplacement(int replica_index, int target_machine = -1);
-  // The checkpoint payloads for `replica_index`'s replacement: an O(delta)
-  // capture against the transport's ack-folded basis when reseed_mode allows and
-  // the basis is usable (same RB reset generation, sync-log slice not wrapped
-  // past the replica's replay cursor), else a full capture. Exposed so tests and
-  // benches can exercise the decision directly.
+  // The checkpoint payloads for `replica_index`'s replacement: cut against the
+  // transport's ack-folded basis when reseed_mode allows and the basis is usable
+  // (same RB reset generation), else against the empty basis. Exposed so tests
+  // and benches can exercise the decision directly.
   SnapshotPayloads MakeReseedPayloads(int replica_index, uint64_t sync_read_cursor);
   // Replacement attempts launched so far (joins completed are per-agent: see
   // RemoteSyncAgent::joins()).

@@ -21,27 +21,10 @@ namespace {
 constexpr uint64_t kMaxSnapshotRbSize = 1ULL << 30;
 constexpr uint32_t kMaxSnapshotRanks = 4096;
 
-// kSnapshotBegin payload header (fixed 88 bytes since wire v3, then the variable
-// sections: rank records, file map, epoll shadow, sync-log image).
-constexpr size_t kBeginOffRbSize = 0;
-constexpr size_t kBeginOffMaxRanks = 8;
-constexpr size_t kBeginOffRankCount = 12;
-constexpr size_t kBeginOffImageBytes = 16;
-constexpr size_t kBeginOffImageCrc = 24;
-constexpr size_t kBeginOffChunkCount = 28;
-constexpr size_t kBeginOffLockstep = 32;
-constexpr size_t kBeginOffFileMapLen = 40;
-constexpr size_t kBeginOffEpollCount = 48;
-constexpr size_t kBeginOffSyncLogSize = 56;
-constexpr size_t kBeginOffSyncTail = 64;
-constexpr size_t kBeginOffSyncCursor = 72;
-constexpr size_t kBeginOffSyncImageLen = 80;
-constexpr size_t kBeginHeaderSize = 88;
-
-// kSnapshotDelta payload header (fixed 104 bytes, wire v5): the O(delta) analog
-// of kSnapshotBegin. The variable sections that follow: rank records (cursor,
-// seq, delta_from — 24 bytes each), dirty file-map pages (u32 page index + one
-// page of bytes each), epoll shadow rows (dirty only), and the sync-log slice
+// kSnapshotDelta payload header (fixed 104 bytes since wire v5, the only
+// checkpoint opener since v6). The variable sections that follow: rank records
+// (cursor, seq, delta_from — 24 bytes each), shipped file-map pages (u32 page
+// index + one page of bytes each), epoll shadow rows, and the sync-log slice
 // [sync_from, sync_tail) in seq order.
 constexpr size_t kDeltaOffRbSize = 0;
 constexpr size_t kDeltaOffMaxRanks = 8;
@@ -63,7 +46,7 @@ constexpr size_t kDeltaOffSyncImageLen = 96;
 constexpr size_t kDeltaHeaderSize = 104;
 constexpr size_t kDeltaRankRecordSize = 24;
 constexpr size_t kDeltaFmPageRecordSize = 4 + kPageSize;
-// FileMap::Configure/Grow cap the map at 1024 pages; a delta claiming more is
+// FileMap::Configure/Grow cap the map at 1024 pages; a checkpoint claiming more is
 // corrupt regardless of the replica's own geometry.
 constexpr uint32_t kMaxSnapshotFileMapPages = 1024;
 
@@ -72,8 +55,6 @@ constexpr size_t kChunkOffOffset = 0;
 constexpr size_t kChunkOffLen = 8;
 constexpr size_t kChunkOffReserved = 12;
 constexpr size_t kChunkHeaderSize = 16;
-
-constexpr size_t kBeginOffReserved = 52;
 
 // kSnapshotEnd payload.
 constexpr size_t kEndOffImageBytes = 0;
@@ -122,11 +103,15 @@ bool PageIsZero(const uint8_t* p) {
 
 // --- Sparse materialized-page images ----------------------------------------------
 
-VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length) {
+VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length,
+                         const std::vector<bool>& pick) {
   VmaImage image;
   image.length = PageAlignUp(length);
   uint8_t page[kPageSize];
   for (uint64_t off = 0; off < image.length; off += kPageSize) {
+    if (!pick.empty() && !pick[off / kPageSize]) {
+      continue;
+    }
     // The materialization probe comes first: capture must record lazy holes as
     // holes, never force a terabyte region resident by reading it.
     if (!mem.PageMaterialized(start + off) ||
@@ -162,13 +147,18 @@ bool RestoreVmaImage(AddressSpace* mem, GuestAddr start, const VmaImage& image) 
 
 ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
                                       const SyncAgent* sync_master,
-                                      uint64_t sync_read_cursor) {
+                                      uint64_t sync_read_cursor,
+                                      const RbDeltaBasis& basis) {
   REMON_CHECK(master != nullptr && master->is_master());
   REMON_CHECK_MSG(master->rb().valid(), "cannot checkpoint before IP-MON initialized");
+  // A basis from a different reset generation would make every offset in it
+  // meaningless; the caller cuts against the empty basis instead.
+  REMON_CHECK_MSG(!basis.valid || basis.reset_generation == master->rb_resets(),
+                  "checkpoint basis from a stale RB reset generation");
   // Quiescent flush point: every deferred batched commit publishes first, so the
   // image never hides a publication the local slaves have already been promised.
   // This also flushes the sync-log stream (IpMon::set_sync_log_flush), so every
-  // record in the captured log image has left the coalescing buffer — the first
+  // record in the captured log slice has left the coalescing buffer — the first
   // kSyncLog frame behind this checkpoint starts exactly at the captured tail.
   master->FlushRbBatches();
 
@@ -176,50 +166,10 @@ ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
   ReplicaSnapshot snap;
   snap.rb_size = rb.size();
   snap.max_ranks = rb.max_ranks();
-  snap.rb_image = CaptureVmaImage(master->process()->mem(), rb.base(), rb.size());
-  snap.cursors.reserve(static_cast<size_t>(snap.max_ranks));
-  snap.seqs.reserve(static_cast<size_t>(snap.max_ranks));
-  for (int r = 0; r < snap.max_ranks; ++r) {
-    snap.cursors.push_back(master->rb_cursor(r));
-    snap.seqs.push_back(master->rb_seq(r));
-  }
-  snap.lockstep_cursor = ghumvee != nullptr ? ghumvee->lockstep_rounds() : 0;
-  snap.file_map.reserve(master->file_map()->size_bytes());
-  for (const PageRef& fm_page : master->file_map()->pages()) {
-    snap.file_map.insert(snap.file_map.end(), fm_page->bytes.begin(),
-                         fm_page->bytes.end());
-  }
-  master->epoll_shadow().ForEach([&snap](int epfd, int fd, uint64_t data) {
-    snap.epoll.push_back(EpollShadowTriple{epfd, fd, data});
-  });
-  // Hash-map enumeration order is not part of the checkpoint: sort so the wire
-  // bytes are identical across standard-library implementations.
-  std::sort(snap.epoll.begin(), snap.epoll.end(),
-            [](const EpollShadowTriple& a, const EpollShadowTriple& b) {
-              return a.epfd != b.epfd ? a.epfd < b.epfd : a.fd < b.fd;
-            });
-  if (sync_master != nullptr && sync_master->log_valid()) {
-    snap.sync_log_size = sync_master->config().log_size;
-    snap.sync_tail = sync_master->tail();
-    snap.sync_read_cursor = sync_read_cursor;
-    snap.sync_image = sync_master->CaptureLogImage();
-  }
-  return snap;
-}
-
-namespace {
-
-// Captures only the pages a delta apply will read: the global header, each
-// rank's header, and each rank's [from, cursor) entry window — with the same
-// materialization probe, zero-page elision, and run coalescing as the full
-// capture. Offsets stay absolute into the flat RB image, so the chunk codec
-// and assembler are shared with the full path unchanged.
-VmaImage CaptureDeltaImage(const AddressSpace& mem, const RbView& rb,
-                           const std::vector<uint64_t>& from,
-                           const std::vector<uint64_t>& cursors) {
-  VmaImage image;
-  image.length = PageAlignUp(rb.size());
-  std::vector<bool> pick(image.length / kPageSize, false);
+  snap.reset_generation = master->rb_resets();
+  // The image covers only the pages the apply reads: the global header, each
+  // rank's header, and each rank's [from, cursor) entry window.
+  std::vector<bool> pick(PageAlignUp(rb.size()) / kPageSize, false);
   auto mark = [&pick](uint64_t lo, uint64_t hi) {  // Byte range [lo, hi).
     for (uint64_t p = (lo & ~kPageMask) / kPageSize;
          p < pick.size() && p * kPageSize < hi; ++p) {
@@ -227,75 +177,28 @@ VmaImage CaptureDeltaImage(const AddressSpace& mem, const RbView& rb,
     }
   };
   mark(0, kRbGlobalHeaderSize);
-  for (int r = 0; r < rb.max_ranks(); ++r) {
-    size_t i = static_cast<size_t>(r);
-    mark(rb.RankStart(r), rb.RankStart(r) + kRbRankHeaderSize);
-    mark(from[i], cursors[i]);
-  }
-  uint8_t page[kPageSize];
-  GuestAddr start = rb.base();
-  for (uint64_t off = 0; off < image.length; off += kPageSize) {
-    if (!pick[off / kPageSize] || !mem.PageMaterialized(start + off) ||
-        !mem.ReadUnchecked(start + off, page, kPageSize).ok) {
-      continue;
-    }
-    if (PageIsZero(page)) {
-      continue;
-    }
-    if (!image.runs.empty()) {
-      PageRun& last = image.runs.back();
-      if (last.offset + last.bytes.size() == off) {
-        last.bytes.insert(last.bytes.end(), page, page + kPageSize);
-        continue;
-      }
-    }
-    image.runs.push_back(PageRun{off, std::vector<uint8_t>(page, page + kPageSize)});
-  }
-  return image;
-}
-
-}  // namespace
-
-ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
-                                   const SyncAgent* sync_master,
-                                   uint64_t sync_read_cursor,
-                                   const RbDeltaBasis& basis) {
-  REMON_CHECK(master != nullptr && master->is_master());
-  REMON_CHECK_MSG(master->rb().valid(), "cannot checkpoint before IP-MON initialized");
-  // The caller (Remon::MakeReseedPayloads) decides delta-vs-full; a basis from a
-  // different reset generation would make every offset in it meaningless.
-  REMON_CHECK_MSG(basis.valid && basis.reset_generation == master->rb_resets(),
-                  "delta capture needs a basis from the current reset generation");
-  master->FlushRbBatches();
-
-  const RbView& rb = master->rb();
-  ReplicaSnapshot snap;
-  snap.is_delta = true;
-  snap.reset_generation = master->rb_resets();
-  snap.rb_size = rb.size();
-  snap.max_ranks = rb.max_ranks();
-  snap.cursors.reserve(static_cast<size_t>(snap.max_ranks));
-  snap.seqs.reserve(static_cast<size_t>(snap.max_ranks));
-  snap.delta_from.reserve(static_cast<size_t>(snap.max_ranks));
   for (int r = 0; r < snap.max_ranks; ++r) {
     size_t i = static_cast<size_t>(r);
     uint64_t cursor = master->rb_cursor(r);
     snap.cursors.push_back(cursor);
     snap.seqs.push_back(master->rb_seq(r));
     // Resume at the replacement's highest acked entry (one entry of idempotent
-    // overlap); an empty or implausible horizon degrades that rank to full.
-    uint64_t from = i < basis.from_off.size() ? basis.from_off[i] : 0;
+    // overlap); the empty basis, or an implausible horizon, resumes at the rank
+    // data start.
+    uint64_t from = basis.valid && i < basis.from_off.size() ? basis.from_off[i] : 0;
     if (from < rb.RankDataStart(r) || from > cursor) {
       from = rb.RankDataStart(r);
     }
     snap.delta_from.push_back(from);
+    mark(rb.RankStart(r), rb.RankStart(r) + kRbRankHeaderSize);
+    mark(from, cursor);
   }
-  snap.rb_image =
-      CaptureDeltaImage(master->process()->mem(), rb, snap.delta_from, snap.cursors);
+  snap.rb_image = CaptureVmaImage(master->process()->mem(), rb.base(), rb.size(), pick);
   snap.lockstep_cursor = ghumvee != nullptr ? ghumvee->lockstep_rounds() : 0;
 
-  // File map: dirty pages since the basis, plus a whole-map CRC so the pages the
-  // delta does NOT carry are still covered by the join's divergence check.
+  // File map: the pages written past the basis (every page for the empty basis),
+  // plus a whole-map CRC so the pages the checkpoint does NOT carry are still
+  // covered by the join's divergence check.
   const FileMap* fm = master->file_map();
   snap.file_map_page_count = static_cast<uint32_t>(fm->pages().size());
   uint32_t fm_crc = 0;
@@ -304,17 +207,20 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
   }
   snap.file_map_crc = fm_crc;
   for (size_t p = 0; p < fm->pages().size(); ++p) {
-    if (fm->page_version(p) > basis.fm_version) {
+    if (!basis.valid || fm->page_version(p) > basis.fm_version) {
       snap.file_map_pages.push_back(static_cast<uint32_t>(p));
       snap.file_map.insert(snap.file_map.end(), fm->pages()[p]->bytes.begin(),
                            fm->pages()[p]->bytes.end());
     }
   }
 
+  // Every live row carries a version >= 1, so the empty basis ships them all.
   master->epoll_shadow().ForEachSince(
-      basis.epoll_version, [&snap](int epfd, int fd, uint64_t data) {
+      basis.valid ? basis.epoll_version : 0, [&snap](int epfd, int fd, uint64_t data) {
         snap.epoll.push_back(EpollShadowTriple{epfd, fd, data});
       });
+  // Hash-map enumeration order is not part of the checkpoint: sort so the wire
+  // bytes are identical across standard-library implementations.
   std::sort(snap.epoll.begin(), snap.epoll.end(),
             [](const EpollShadowTriple& a, const EpollShadowTriple& b) {
               return a.epfd != b.epfd ? a.epfd < b.epfd : a.fd < b.fd;
@@ -324,12 +230,18 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
     snap.sync_log_size = sync_master->config().log_size;
     snap.sync_tail = sync_master->tail();
     snap.sync_read_cursor = sync_read_cursor;
-    snap.sync_from = sync_read_cursor;
-    // The wrap gate froze this replica's cursor at death, so the un-replayed
-    // suffix still fits the circular log; the caller verified it.
-    REMON_CHECK_MSG(snap.sync_from <= snap.sync_tail &&
+    // A valid basis resumes at the replica's cursor; the empty basis ships the
+    // whole occupied lap.
+    snap.sync_from =
+        basis.valid ? sync_read_cursor
+                    : snap.sync_tail - std::min(snap.sync_tail, sync_master->capacity());
+    // The wrap gate (SyncAgent::MinPeerReadCursor) freezes a dead replica's
+    // cursor, so the leader never overwrote a slot the replacement has yet to
+    // replay: the slice always reaches back to the cursor.
+    REMON_CHECK_MSG(snap.sync_from <= sync_read_cursor &&
+                        sync_read_cursor <= snap.sync_tail &&
                         snap.sync_tail - snap.sync_from <= sync_master->capacity(),
-                    "delta capture after the sync log wrapped past the cursor");
+                    "checkpoint after the sync log wrapped past the replica cursor");
     snap.sync_image = sync_master->CaptureLogDelta(snap.sync_from);
   }
   return snap;
@@ -337,10 +249,18 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
 
 // --- Wire payloads -----------------------------------------------------------------
 
+uint64_t SnapshotPayloads::wire_bytes() const {
+  uint64_t n = 2 * kRbWireHeaderSize + begin.size() + end.size();
+  for (const std::vector<uint8_t>& chunk : chunks) {
+    n += kRbWireHeaderSize + chunk.size();
+  }
+  return n;
+}
+
 SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   SnapshotPayloads out;
 
-  // Chunks first: Begin carries their count and chained CRC.
+  // Chunks first: the opener carries their count and chained CRC.
   uint32_t crc = 0;
   for (const PageRun& run : snap.rb_image.runs) {
     for (uint64_t pos = 0; pos < run.bytes.size(); pos += kSnapshotChunkBytes) {
@@ -356,85 +276,50 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   uint64_t image_bytes = snap.rb_image.run_bytes();
   uint32_t chunk_count = static_cast<uint32_t>(out.chunks.size());
   size_t rank_count = snap.cursors.size();
+  size_t fm_shipped = snap.file_map.size() / kPageSize;
+  REMON_CHECK_MSG(snap.file_map.size() == fm_shipped * kPageSize &&
+                      (snap.file_map_pages.empty() ||
+                       snap.file_map_pages.size() == fm_shipped),
+                  "file-map section is not whole indexed pages");
+  uint32_t fm_page_count =
+      std::max(snap.file_map_page_count, static_cast<uint32_t>(fm_shipped));
 
-  if (snap.is_delta) {
-    out.delta = true;
-    size_t fm_dirty = snap.file_map_pages.size();
-    out.begin.assign(kDeltaHeaderSize + rank_count * kDeltaRankRecordSize +
-                         fm_dirty * kDeltaFmPageRecordSize + snap.epoll.size() * 16 +
-                         snap.sync_image.size(),
-                     0);
-    PutU64(&out.begin, kDeltaOffRbSize, snap.rb_size);
-    PutU32(&out.begin, kDeltaOffMaxRanks, static_cast<uint32_t>(snap.max_ranks));
-    PutU32(&out.begin, kDeltaOffRankCount, static_cast<uint32_t>(rank_count));
-    PutU64(&out.begin, kDeltaOffImageBytes, image_bytes);
-    PutU32(&out.begin, kDeltaOffImageCrc, crc);
-    PutU32(&out.begin, kDeltaOffChunkCount, chunk_count);
-    PutU64(&out.begin, kDeltaOffLockstep, snap.lockstep_cursor);
-    PutU64(&out.begin, kDeltaOffResetGen, snap.reset_generation);
-    PutU32(&out.begin, kDeltaOffFmPageCount, snap.file_map_page_count);
-    PutU32(&out.begin, kDeltaOffFmDirtyCount, static_cast<uint32_t>(fm_dirty));
-    PutU32(&out.begin, kDeltaOffFmCrc, snap.file_map_crc);
-    PutU32(&out.begin, kDeltaOffEpollCount, static_cast<uint32_t>(snap.epoll.size()));
-    PutU64(&out.begin, kDeltaOffSyncLogSize, snap.sync_log_size);
-    PutU64(&out.begin, kDeltaOffSyncTail, snap.sync_tail);
-    PutU64(&out.begin, kDeltaOffSyncCursor, snap.sync_read_cursor);
-    PutU64(&out.begin, kDeltaOffSyncFrom, snap.sync_from);
-    PutU64(&out.begin, kDeltaOffSyncImageLen, snap.sync_image.size());
-    size_t dpos = kDeltaHeaderSize;
-    for (size_t r = 0; r < rank_count; ++r) {
-      PutU64(&out.begin, dpos, snap.cursors[r]);
-      PutU64(&out.begin, dpos + 8, snap.seqs[r]);
-      PutU64(&out.begin, dpos + 16, snap.delta_from[r]);
-      dpos += kDeltaRankRecordSize;
-    }
-    for (size_t i = 0; i < fm_dirty; ++i) {
-      PutU32(&out.begin, dpos, snap.file_map_pages[i]);
-      std::memcpy(out.begin.data() + dpos + 4, snap.file_map.data() + i * kPageSize,
-                  kPageSize);
-      dpos += kDeltaFmPageRecordSize;
-    }
-    for (const EpollShadowTriple& t : snap.epoll) {
-      PutU32(&out.begin, dpos, static_cast<uint32_t>(t.epfd));
-      PutU32(&out.begin, dpos + 4, static_cast<uint32_t>(t.fd));
-      PutU64(&out.begin, dpos + 8, t.data);
-      dpos += 16;
-    }
-    if (!snap.sync_image.empty()) {
-      std::memcpy(out.begin.data() + dpos, snap.sync_image.data(),
-                  snap.sync_image.size());
-    }
-    out.end.assign(kEndSize, 0);
-    PutU64(&out.end, kEndOffImageBytes, image_bytes);
-    PutU32(&out.end, kEndOffImageCrc, crc);
-    PutU32(&out.end, kEndOffChunkCount, chunk_count);
-    return out;
-  }
-
-  out.begin.assign(kBeginHeaderSize + rank_count * 16 + snap.file_map.size() +
-                       snap.epoll.size() * 16 + snap.sync_image.size(),
+  out.begin.assign(kDeltaHeaderSize + rank_count * kDeltaRankRecordSize +
+                       fm_shipped * kDeltaFmPageRecordSize + snap.epoll.size() * 16 +
+                       snap.sync_image.size(),
                    0);
-  PutU64(&out.begin, kBeginOffRbSize, snap.rb_size);
-  PutU32(&out.begin, kBeginOffMaxRanks, static_cast<uint32_t>(snap.max_ranks));
-  PutU32(&out.begin, kBeginOffRankCount, static_cast<uint32_t>(rank_count));
-  PutU64(&out.begin, kBeginOffImageBytes, image_bytes);
-  PutU32(&out.begin, kBeginOffImageCrc, crc);
-  PutU32(&out.begin, kBeginOffChunkCount, chunk_count);
-  PutU64(&out.begin, kBeginOffLockstep, snap.lockstep_cursor);
-  PutU64(&out.begin, kBeginOffFileMapLen, snap.file_map.size());
-  PutU32(&out.begin, kBeginOffEpollCount, static_cast<uint32_t>(snap.epoll.size()));
-  PutU64(&out.begin, kBeginOffSyncLogSize, snap.sync_log_size);
-  PutU64(&out.begin, kBeginOffSyncTail, snap.sync_tail);
-  PutU64(&out.begin, kBeginOffSyncCursor, snap.sync_read_cursor);
-  PutU64(&out.begin, kBeginOffSyncImageLen, snap.sync_image.size());
-  size_t pos = kBeginHeaderSize;
+  PutU64(&out.begin, kDeltaOffRbSize, snap.rb_size);
+  PutU32(&out.begin, kDeltaOffMaxRanks, static_cast<uint32_t>(snap.max_ranks));
+  PutU32(&out.begin, kDeltaOffRankCount, static_cast<uint32_t>(rank_count));
+  PutU64(&out.begin, kDeltaOffImageBytes, image_bytes);
+  PutU32(&out.begin, kDeltaOffImageCrc, crc);
+  PutU32(&out.begin, kDeltaOffChunkCount, chunk_count);
+  PutU64(&out.begin, kDeltaOffLockstep, snap.lockstep_cursor);
+  PutU64(&out.begin, kDeltaOffResetGen, snap.reset_generation);
+  PutU32(&out.begin, kDeltaOffFmPageCount, fm_page_count);
+  PutU32(&out.begin, kDeltaOffFmDirtyCount, static_cast<uint32_t>(fm_shipped));
+  PutU32(&out.begin, kDeltaOffFmCrc, snap.file_map_crc);
+  PutU32(&out.begin, kDeltaOffEpollCount, static_cast<uint32_t>(snap.epoll.size()));
+  PutU64(&out.begin, kDeltaOffSyncLogSize, snap.sync_log_size);
+  PutU64(&out.begin, kDeltaOffSyncTail, snap.sync_tail);
+  PutU64(&out.begin, kDeltaOffSyncCursor, snap.sync_read_cursor);
+  PutU64(&out.begin, kDeltaOffSyncFrom, snap.sync_from);
+  PutU64(&out.begin, kDeltaOffSyncImageLen, snap.sync_image.size());
+  size_t pos = kDeltaHeaderSize;
   for (size_t r = 0; r < rank_count; ++r) {
     PutU64(&out.begin, pos, snap.cursors[r]);
     PutU64(&out.begin, pos + 8, snap.seqs[r]);
-    pos += 16;
+    PutU64(&out.begin, pos + 16, r < snap.delta_from.size() ? snap.delta_from[r] : 0);
+    pos += kDeltaRankRecordSize;
   }
-  std::memcpy(out.begin.data() + pos, snap.file_map.data(), snap.file_map.size());
-  pos += snap.file_map.size();
+  for (size_t i = 0; i < fm_shipped; ++i) {
+    PutU32(&out.begin, pos,
+           snap.file_map_pages.empty() ? static_cast<uint32_t>(i)
+                                       : snap.file_map_pages[i]);
+    std::memcpy(out.begin.data() + pos + 4, snap.file_map.data() + i * kPageSize,
+                kPageSize);
+    pos += kDeltaFmPageRecordSize;
+  }
   for (const EpollShadowTriple& t : snap.epoll) {
     PutU32(&out.begin, pos, static_cast<uint32_t>(t.epfd));
     PutU32(&out.begin, pos + 4, static_cast<uint32_t>(t.fd));
@@ -443,7 +328,6 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   }
   if (!snap.sync_image.empty()) {
     std::memcpy(out.begin.data() + pos, snap.sync_image.data(), snap.sync_image.size());
-    pos += snap.sync_image.size();
   }
 
   out.end.assign(kEndSize, 0);
@@ -472,94 +356,8 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   if (state_ != State::kIdle) {
     return Fail("snapshot begin out of protocol");
   }
-  if (payload.size() < kBeginHeaderSize) {
-    return Fail("snapshot begin payload truncated");
-  }
-  uint64_t rb_size = GetU64(payload, kBeginOffRbSize);
-  uint32_t max_ranks = GetU32(payload, kBeginOffMaxRanks);
-  uint32_t rank_count = GetU32(payload, kBeginOffRankCount);
-  uint64_t file_map_len = GetU64(payload, kBeginOffFileMapLen);
-  uint32_t epoll_count = GetU32(payload, kBeginOffEpollCount);
-  if (rb_size == 0 || rb_size > kMaxSnapshotRbSize || (rb_size & kPageMask) != 0 ||
-      max_ranks == 0 || max_ranks > kMaxSnapshotRanks || rank_count != max_ranks ||
-      // The file map spans a whole number of pages (multi-page since the fleet
-      // work raised the FD ceiling); bound it like the RB.
-      file_map_len == 0 || file_map_len > kMaxSnapshotRbSize ||
-      (file_map_len & kPageMask) != 0 ||
-      // The spec says MUST-be-zero; tolerating garbage here would make the field
-      // unusable for a future revision.
-      GetU32(payload, kBeginOffReserved) != 0) {
-    return Fail("snapshot begin metadata out of bounds");
-  }
-  uint64_t sync_log_size = GetU64(payload, kBeginOffSyncLogSize);
-  uint64_t sync_tail = GetU64(payload, kBeginOffSyncTail);
-  uint64_t sync_cursor = GetU64(payload, kBeginOffSyncCursor);
-  uint64_t sync_image_len = GetU64(payload, kBeginOffSyncImageLen);
-  if (sync_log_size == 0) {
-    // No sync section: every sync field must be zero (an image without a log to
-    // describe it is structurally corrupt).
-    if (sync_tail != 0 || sync_cursor != 0 || sync_image_len != 0) {
-      return Fail("snapshot sync section inconsistent with zero log size");
-    }
-  } else {
-    if (sync_log_size <= kSyncLogOffEntries || sync_log_size > kMaxSnapshotRbSize) {
-      return Fail("snapshot sync log size out of bounds");
-    }
-    uint64_t cap = (sync_log_size - kSyncLogOffEntries) / kSyncLogEntrySize;
-    uint64_t occupied = std::min(sync_tail, cap);
-    if (cap == 0 || sync_image_len != occupied * kSyncLogEntrySize ||
-        sync_cursor > sync_tail) {
-      return Fail("snapshot sync section out of bounds");
-    }
-  }
-  uint64_t variable = static_cast<uint64_t>(rank_count) * 16 + file_map_len +
-                      static_cast<uint64_t>(epoll_count) * 16 + sync_image_len;
-  if (payload.size() != kBeginHeaderSize + variable) {
-    return Fail("snapshot begin payload size mismatch");
-  }
-
-  snap_.rb_size = rb_size;
-  snap_.max_ranks = static_cast<int>(max_ranks);
-  snap_.lockstep_cursor = GetU64(payload, kBeginOffLockstep);
-  snap_.sync_log_size = sync_log_size;
-  snap_.sync_tail = sync_tail;
-  snap_.sync_read_cursor = sync_cursor;
-  expect_bytes_ = GetU64(payload, kBeginOffImageBytes);
-  expect_crc_ = GetU32(payload, kBeginOffImageCrc);
-  expect_chunks_ = GetU32(payload, kBeginOffChunkCount);
-  if (expect_bytes_ > rb_size) {
-    return Fail("snapshot image larger than the RB it describes");
-  }
-  size_t pos = kBeginHeaderSize;
-  for (uint32_t r = 0; r < rank_count; ++r) {
-    snap_.cursors.push_back(GetU64(payload, pos));
-    snap_.seqs.push_back(GetU64(payload, pos + 8));
-    pos += 16;
-  }
-  snap_.file_map.assign(payload.begin() + static_cast<long>(pos),
-                        payload.begin() + static_cast<long>(pos + file_map_len));
-  pos += file_map_len;
-  for (uint32_t i = 0; i < epoll_count; ++i) {
-    EpollShadowTriple t;
-    t.epfd = static_cast<int32_t>(GetU32(payload, pos));
-    t.fd = static_cast<int32_t>(GetU32(payload, pos + 4));
-    t.data = GetU64(payload, pos + 8);
-    snap_.epoll.push_back(t);
-    pos += 16;
-  }
-  snap_.sync_image.assign(payload.begin() + static_cast<long>(pos),
-                          payload.begin() + static_cast<long>(pos + sync_image_len));
-  image_.assign(rb_size, 0);
-  state_ = State::kAssembling;
-  return true;
-}
-
-bool SnapshotAssembler::BeginDelta(const std::vector<uint8_t>& payload) {
-  if (state_ != State::kIdle) {
-    return Fail("snapshot begin out of protocol");
-  }
   if (payload.size() < kDeltaHeaderSize) {
-    return Fail("snapshot delta payload truncated");
+    return Fail("snapshot begin payload truncated");
   }
   uint64_t rb_size = GetU64(payload, kDeltaOffRbSize);
   uint32_t max_ranks = GetU32(payload, kDeltaOffMaxRanks);
@@ -571,7 +369,7 @@ bool SnapshotAssembler::BeginDelta(const std::vector<uint8_t>& payload) {
       max_ranks == 0 || max_ranks > kMaxSnapshotRanks || rank_count != max_ranks ||
       fm_page_count == 0 || fm_page_count > kMaxSnapshotFileMapPages ||
       fm_dirty_count > fm_page_count) {
-    return Fail("snapshot delta metadata out of bounds");
+    return Fail("snapshot begin metadata out of bounds");
   }
   uint64_t sync_log_size = GetU64(payload, kDeltaOffSyncLogSize);
   uint64_t sync_tail = GetU64(payload, kDeltaOffSyncTail);
@@ -579,6 +377,8 @@ bool SnapshotAssembler::BeginDelta(const std::vector<uint8_t>& payload) {
   uint64_t sync_from = GetU64(payload, kDeltaOffSyncFrom);
   uint64_t sync_image_len = GetU64(payload, kDeltaOffSyncImageLen);
   if (sync_log_size == 0) {
+    // No sync section: every sync field must be zero (an image without a log to
+    // describe it is structurally corrupt).
     if (sync_tail != 0 || sync_cursor != 0 || sync_from != 0 || sync_image_len != 0) {
       return Fail("snapshot sync section inconsistent with zero log size");
     }
@@ -591,10 +391,10 @@ bool SnapshotAssembler::BeginDelta(const std::vector<uint8_t>& payload) {
       return Fail("snapshot sync section out of bounds");
     }
     // The lap guard: a slice longer than the log means the leader wrapped past
-    // the replica's cursor after cutting the basis — the delta is stale and the
-    // join must be refused (the leader falls back to a full checkpoint).
+    // the replica's cursor after cutting the basis — the slots below the slice
+    // are gone and the join must be refused.
     if (sync_tail - sync_from > cap) {
-      return Fail("snapshot delta sync slice wrapped past the replica cursor");
+      return Fail("snapshot sync slice wrapped past the replica cursor");
     }
     if (sync_image_len != (sync_tail - sync_from) * kSyncLogEntrySize) {
       return Fail("snapshot sync section out of bounds");
@@ -604,10 +404,9 @@ bool SnapshotAssembler::BeginDelta(const std::vector<uint8_t>& payload) {
                       static_cast<uint64_t>(fm_dirty_count) * kDeltaFmPageRecordSize +
                       static_cast<uint64_t>(epoll_count) * 16 + sync_image_len;
   if (payload.size() != kDeltaHeaderSize + variable) {
-    return Fail("snapshot delta payload size mismatch");
+    return Fail("snapshot begin payload size mismatch");
   }
 
-  snap_.is_delta = true;
   snap_.rb_size = rb_size;
   snap_.max_ranks = static_cast<int>(max_ranks);
   snap_.lockstep_cursor = GetU64(payload, kDeltaOffLockstep);
@@ -637,7 +436,7 @@ bool SnapshotAssembler::BeginDelta(const std::vector<uint8_t>& payload) {
     // no double-written page under a valid CRC.
     if (page_idx >= fm_page_count ||
         (!snap_.file_map_pages.empty() && page_idx <= snap_.file_map_pages.back())) {
-      return Fail("snapshot delta file-map page index out of order");
+      return Fail("snapshot file-map page index out of order");
     }
     snap_.file_map_pages.push_back(page_idx);
     snap_.file_map.insert(snap_.file_map.end(),
@@ -739,60 +538,49 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
   if (snap.rb_size != rb.size() || snap.max_ranks != rb.max_ranks() ||
       image.size() != rb.size() ||
       snap.cursors.size() != static_cast<size_t>(snap.max_ranks) ||
-      (snap.is_delta &&
-       snap.delta_from.size() != static_cast<size_t>(snap.max_ranks))) {
+      snap.delta_from.size() != static_cast<size_t>(snap.max_ranks)) {
     return ApplyFail("snapshot geometry does not match the replica RB");
   }
-  // Delta lap guard: every offset in the delta is relative to one RB reset
-  // generation. A reset between the basis acks and this join rewrote the
-  // sub-buffers wholesale, so the slice no longer describes this mirror.
-  if (snap.is_delta && snap.reset_generation != mon->rb_resets()) {
-    return ApplyFail("delta basis from a different RB reset generation");
+  // Lap guard: every offset in the checkpoint is relative to one RB reset
+  // generation. A mirror from another generation was scrubbed by rounds a
+  // non-empty basis knows nothing about, so only a checkpoint that resumes every
+  // rank at its data start — the empty basis — can rebuild it (and re-zeroes the
+  // stale tail below).
+  bool same_generation = snap.reset_generation == mon->rb_resets();
+  for (int r = 0; r < snap.max_ranks && !same_generation; ++r) {
+    uint64_t df = snap.delta_from[static_cast<size_t>(r)];
+    if (df != 0 && df != rb.RankDataStart(r)) {
+      return ApplyFail("delta basis from a different RB reset generation");
+    }
   }
   // File-map cross-check: the FD metadata is monitor control-plane state every
   // replica derives from the same monitored history; a byte diverging means this
-  // replica's stream is not the leader's and the join must be refused.
-  if (snap.is_delta) {
-    // Delta mode carries only the dirty pages; the whole-map CRC extends the
-    // divergence check over the pages the slice omitted.
-    const FileMap* fm = mon->file_map();
-    if (snap.file_map_page_count != fm->pages().size()) {
-      return ApplyFail("file map geometry diverged from the leader checkpoint");
-    }
-    if (snap.file_map.size() != snap.file_map_pages.size() * kPageSize) {
+  // replica's stream is not the leader's and the join must be refused. The
+  // shipped pages compare byte for byte and the whole-map CRC extends the check
+  // over the pages the checkpoint omitted.
+  const FileMap* fm = mon->file_map();
+  if (snap.file_map_page_count != fm->pages().size() ||
+      snap.file_map.size() != snap.file_map_pages.size() * kPageSize) {
+    return ApplyFail("file map geometry diverged from the leader checkpoint");
+  }
+  for (size_t i = 0; i < snap.file_map_pages.size(); ++i) {
+    const PageRef& fm_page = fm->pages()[snap.file_map_pages[i]];
+    if (!std::equal(fm_page->bytes.begin(), fm_page->bytes.end(),
+                    snap.file_map.begin() + static_cast<long>(i * kPageSize))) {
       return ApplyFail("file map diverged from the leader checkpoint");
-    }
-    for (size_t i = 0; i < snap.file_map_pages.size(); ++i) {
-      const PageRef& fm_page = fm->pages()[snap.file_map_pages[i]];
-      if (!std::equal(fm_page->bytes.begin(), fm_page->bytes.end(),
-                      snap.file_map.begin() + static_cast<long>(i * kPageSize))) {
-        return ApplyFail("file map diverged from the leader checkpoint");
-      }
-    }
-    uint32_t fm_crc = 0;
-    for (const PageRef& fm_page : fm->pages()) {
-      fm_crc = Crc32(fm_page->bytes.data(), kPageSize, fm_crc);
-    }
-    if (fm_crc != snap.file_map_crc) {
-      return ApplyFail("file map diverged from the leader checkpoint");
-    }
-  } else {
-    if (snap.file_map.size() != mon->file_map()->size_bytes()) {
-      return ApplyFail("file map diverged from the leader checkpoint");
-    }
-    size_t fm_off = 0;
-    for (const PageRef& fm_page : mon->file_map()->pages()) {
-      if (!std::equal(fm_page->bytes.begin(), fm_page->bytes.end(),
-                      snap.file_map.begin() + static_cast<long>(fm_off))) {
-        return ApplyFail("file map diverged from the leader checkpoint");
-      }
-      fm_off += fm_page->bytes.size();
     }
   }
-  // Sync-agent log (v3): the checkpoint and the replica must agree on whether a
+  uint32_t fm_crc = 0;
+  for (const PageRef& fm_page : fm->pages()) {
+    fm_crc = Crc32(fm_page->bytes.data(), kPageSize, fm_crc);
+  }
+  if (fm_crc != snap.file_map_crc) {
+    return ApplyFail("file map diverged from the leader checkpoint");
+  }
+  // Sync-agent log: the checkpoint and the replica must agree on whether a
   // record/replay agent runs at all, and the log restore's own validation
   // (geometry, replay cursor, per-slot divergence) gates the join like the file
-  // map does. ApplyLogSnapshot mutates only after every check passed.
+  // map does. ApplyLogDelta mutates only after every check passed.
   bool replica_has_sync = sync_agent != nullptr && sync_agent->log_valid();
   if (snap.sync_log_size != 0 && !replica_has_sync) {
     return ApplyFail("snapshot carries a sync log the replica does not replay");
@@ -805,12 +593,8 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
   result.ok = true;
   if (replica_has_sync) {
     const char* sync_err =
-        snap.is_delta
-            ? sync_agent->ApplyLogDelta(snap.sync_log_size, snap.sync_tail,
-                                        snap.sync_from, snap.sync_read_cursor,
-                                        snap.sync_image)
-            : sync_agent->ApplyLogSnapshot(snap.sync_log_size, snap.sync_tail,
-                                           snap.sync_read_cursor, snap.sync_image);
+        sync_agent->ApplyLogDelta(snap.sync_log_size, snap.sync_tail, snap.sync_from,
+                                  snap.sync_read_cursor, snap.sync_image);
     if (sync_err != nullptr) {
       return ApplyFail(sync_err);
     }
@@ -840,19 +624,15 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
 
     // Replay the published prefix with the live-path discipline: body first (the
     // mirror's own state and waiter words preserved), state word flipped last and
-    // only forward, one wake per entry. A delta resumes the walk at the
-    // replacement's highest acked entry instead of the rank data start — one
-    // entry of overlap, idempotent under the forward-only flip.
-    uint64_t off = data_start;
-    if (snap.is_delta) {
-      uint64_t df = snap.delta_from[static_cast<size_t>(r)];
-      if (df == 0) {
-        df = data_start;
-      }
-      if (df < data_start || df > cursor) {
-        return ApplyFail("delta resume offset outside the published prefix");
-      }
-      off = df;
+    // only forward, one wake per entry. The walk resumes at the replacement's
+    // highest acked entry — one entry of overlap, idempotent under the
+    // forward-only flip — or at the rank data start for the empty basis.
+    uint64_t off = snap.delta_from[static_cast<size_t>(r)];
+    if (off == 0) {
+      off = data_start;
+    }
+    if (off < data_start || off > cursor) {
+      return ApplyFail("snapshot resume offset outside the published prefix");
     }
     while (off + kRbEntryHeaderSize <= cursor) {
       uint32_t state = ImageU32(image, off + kRbOffState);
@@ -874,11 +654,11 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
       off += total;
     }
 
-    // Delta: within one reset generation the mirror's bytes past the leader
-    // cursor are already the leader's zeros (both sides were scrubbed by the
-    // same reset round), so re-zeroing would only race a consumer parked on the
-    // resume entry. Just wake it so it re-examines the restored world.
-    if (snap.is_delta) {
+    // Same generation: the mirror's bytes past the leader cursor are already the
+    // leader's zeros (both sides were scrubbed by the same reset round), so
+    // re-zeroing would only race a consumer parked on the resume entry. Just wake
+    // it so it re-examines the restored world.
+    if (same_generation) {
       if (off + kRbEntryHeaderSize <= data_end) {
         WakeEntryQueue(kernel, mon, rb, off);
       }

@@ -8,22 +8,28 @@
 // lockstep at the recorded cursor and the transcript is byte-identical to a run
 // that never lost the replica.
 //
-// The checkpoint (ReplicaSnapshot) carries:
-//   * the leader's RB content as a sparse materialized-page image (VmaImage):
-//     untouched lazy pages and all-zero pages travel as holes and stay lazy/zero
-//     on the far side;
-//   * the leader's per-rank RB positions (write cursor + next sequence number);
+// Every checkpoint is a delta against an RbDeltaBasis: what the leader knows the
+// replacement's mirror already holds, folded from the dead replica's cumulative
+// acks. A full checkpoint is simply the delta against the empty basis
+// (RbDeltaBasis{}), so there is one capture, one wire layout, one parser and one
+// apply path. The checkpoint (ReplicaSnapshot) carries:
+//   * the leader's RB pages the replacement lacks as a sparse materialized-page
+//     image (VmaImage): the global and rank headers plus each rank's
+//     [delta_from, cursor) entry window; all-zero pages travel as holes;
+//   * the leader's per-rank RB positions (write cursor + next sequence number)
+//     and the RB reset generation the offsets belong to;
 //   * the GHUMVEE lockstep cursor (rounds completed at capture) — the monitored
 //     synchronization point the replacement resumes from;
-//   * the file-map page and the leader's epoll data shadow, which the rejoining
-//     side cross-checks against its own state;
-//   * wire v3: the sync-agent log image (occupied circular slots, slot order) with
-//     its tail and the target replica's replay cursor, so multi-threaded
-//     replacements resume BeforeAcquire replay exactly where they left off
-//     (src/core/sync_agent.h; absent — all zero — for agent-less workloads).
+//   * the file-map pages written past the basis plus a whole-map CRC, and the
+//     epoll-shadow rows written past it, which the rejoining side cross-checks
+//     against its own state (the empty basis ships every page and row);
+//   * the sync-agent log slots past the basis in seq order, with the tail and the
+//     target replica's replay cursor, so multi-threaded replacements resume
+//     BeforeAcquire replay exactly where they left off (src/core/sync_agent.h;
+//     absent — all zero — for agent-less workloads).
 //
 // On the wire the snapshot rides the normal RB stream as three sequenced,
-// CRC-protected frame types (kSnapshotBegin / kSnapshotChunk / kSnapshotEnd,
+// CRC-protected frame types (kSnapshotDelta / kSnapshotChunk / kSnapshotEnd,
 // src/core/rb_wire.h), chunked so snapshot traffic obeys the transport's bounded
 // in-flight frame budget and interleaves with data frames instead of
 // monopolizing the link. docs/RB_WIRE_FORMAT.md is the normative payload spec.
@@ -75,8 +81,10 @@ struct VmaImage {
 
 // Captures [start, start+length) from `mem` as a sparse image: only materialized,
 // non-zero pages are recorded (lazy pages stay lazy — capture never materializes).
-// Adjacent captured pages coalesce into one run.
-VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length);
+// Adjacent captured pages coalesce into one run. A non-empty `pick` (one flag per
+// page) restricts the walk to the flagged pages.
+VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length,
+                         const std::vector<bool>& pick = {});
 
 // Writes an image's runs into `mem` at `start`. Holes are not written: restoring
 // into a fresh lazy mapping leaves them unmaterialized (the lazy read-as-zero
@@ -95,43 +103,37 @@ struct EpollShadowTriple {
 struct ReplicaSnapshot {
   uint64_t rb_size = 0;
   int max_ranks = 0;
-  VmaImage rb_image;               // Leader RB content, offsets relative to RB base.
+  uint64_t reset_generation = 0;   // Leader rb_resets() at capture: the lap guard.
+  VmaImage rb_image;               // Leader RB pages, offsets relative to RB base.
   std::vector<uint64_t> cursors;   // Per rank: leader's next-entry offset.
   std::vector<uint64_t> seqs;      // Per rank: leader's next sequence number.
+  std::vector<uint64_t> delta_from;  // Per rank: offset the image resumes at
+                                     // (0 or absent = rank data start).
   uint64_t lockstep_cursor = 0;    // GHUMVEE lockstep rounds completed at capture.
-  std::vector<uint8_t> file_map;   // The FD metadata map (whole pages).
-  std::vector<EpollShadowTriple> epoll;  // Leader (epfd, fd) -> data shadow.
-  // Sync-agent log section (wire v3); all zero when the workload runs no agent.
+  // File map: the pages written past the basis, concatenated, with their indices
+  // (strictly increasing). An empty index list means `file_map` holds pages 0..n-1,
+  // and a zero page count means the map is exactly those pages.
+  std::vector<uint8_t> file_map;
+  std::vector<uint32_t> file_map_pages;
+  uint32_t file_map_page_count = 0;  // Leader map geometry.
+  uint32_t file_map_crc = 0;         // CRC-32 over the whole leader map: the
+                                     // cross-check covering unshipped pages.
+  std::vector<EpollShadowTriple> epoll;  // Leader (epfd, fd) -> data rows.
+  // Sync-agent log section; all zero when the workload runs no agent.
   uint64_t sync_log_size = 0;      // Log segment geometry (validated by the joiner).
   uint64_t sync_tail = 0;          // Absolute op count at capture.
   uint64_t sync_read_cursor = 0;   // The target replica's replay cursor at capture.
-  std::vector<uint8_t> sync_image;  // Occupied circular slots, slot order.
-
-  // --- O(delta) checkpoints (wire v5, kSnapshotDelta) -----------------------------
-  // A delta checkpoint ships only what the replacement provably lacks: per rank,
-  // entries from its highest acknowledged entry offset to the leader cursor; only
-  // file-map pages and epoll rows written after the ack horizon; only sync-log
-  // slots past its replay cursor (seq order, embedded seqs). In delta mode
-  // `file_map` holds the concatenated dirty pages (indices in `file_map_pages`),
-  // `sync_image` holds slots [sync_from, sync_tail) in seq order, and `epoll` the
-  // dirty rows only.
-  bool is_delta = false;
-  uint64_t reset_generation = 0;   // Leader rb_resets() at capture: the lap guard.
-  std::vector<uint64_t> delta_from;  // Per rank: offset the image resumes at
-                                     // (0 = rank data start; always <= cursor).
-  uint64_t sync_from = 0;            // First op in sync_image.
-  uint32_t file_map_page_count = 0;  // Leader map geometry (delta only).
-  uint32_t file_map_crc = 0;         // CRC-32 over the whole leader map: the
-                                     // cross-check covering undirtied pages.
-  std::vector<uint32_t> file_map_pages;  // Dirty page indices, strictly increasing.
+  uint64_t sync_from = 0;          // First op in sync_image.
+  std::vector<uint8_t> sync_image;  // Slots [sync_from, sync_tail), seq order.
 };
 
 // What the leader knows a dead replica already holds, folded from cumulative
-// acks by the transport (RbTransport::DeltaBasisFor): the horizon a kSnapshotDelta
-// capture resumes from. Only usable while the leader's RB reset generation still
-// matches — a reset rewrites offsets wholesale — and while the sync log has not
-// wrapped past the replica's cursor; otherwise the caller falls back to a full
-// checkpoint.
+// acks by the transport (RbTransport::DeltaBasisFor): the horizon a checkpoint
+// resumes from. A valid basis is only usable while the leader's RB reset
+// generation still matches — a reset rewrites offsets wholesale — otherwise the
+// caller cuts against the empty basis RbDeltaBasis{} (valid == false), which
+// resumes every rank at its data start and ships every file-map page, every
+// epoll row and the whole occupied sync-log lap.
 struct RbDeltaBasis {
   bool valid = false;
   uint64_t reset_generation = 0;   // IpMon::rb_resets() the offsets belong to.
@@ -140,29 +142,21 @@ struct RbDeltaBasis {
   uint64_t epoll_version = 0;      // EpollShadowMap::version() horizon.
 };
 
-// Checkpoints the leader at a quiescent flush point: publishes every deferred
-// batched commit first (so no publication is invisible in the image), then
-// captures RB image, cursors, lockstep cursor, file map, and epoll shadow.
-// `ghumvee` may be null (lockstep cursor 0). For multi-threaded workloads,
-// `sync_master` is the leader's record/replay agent (its log image and tail enter
-// the checkpoint) and `sync_read_cursor` the replay cursor of the replica being
-// re-seeded — in a distributed deployment the cursor arrives with the join
-// request; here the front end reads it off the replica's agent.
+// Checkpoints the leader at a quiescent flush point against `basis`: publishes
+// every deferred batched commit first (so no publication is invisible in the
+// image), then captures the global/rank headers plus each rank's [basis offset,
+// cursor) window — one acked entry of overlap, idempotent under the
+// forward-only apply discipline — the lockstep cursor, and the file-map, epoll
+// and sync-log state past the basis. `ghumvee` may be null (lockstep cursor 0).
+// For multi-threaded workloads, `sync_master` is the leader's record/replay agent
+// and `sync_read_cursor` the replay cursor of the replica being re-seeded — in a
+// distributed deployment the cursor arrives with the join request; here the
+// front end reads it off the replica's agent. A valid basis must belong to the
+// current reset generation; Remon::MakeReseedPayloads owns that decision.
 ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
                                       const SyncAgent* sync_master = nullptr,
-                                      uint64_t sync_read_cursor = 0);
-
-// Checkpoints the leader as an O(delta) snapshot against `basis` (the replacement's
-// ack horizon). Same quiescent flush point as the full capture; the image covers
-// the global/rank headers plus each rank's [basis offset, cursor) window — one
-// acked entry of overlap, idempotent under the forward-only apply discipline.
-// The caller must have verified the basis is usable (valid, current reset
-// generation, sync log not wrapped past the cursor); Remon::MakeReseedPayloads
-// owns that decision and the full-snapshot fallback.
-ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
-                                   const SyncAgent* sync_master,
-                                   uint64_t sync_read_cursor,
-                                   const RbDeltaBasis& basis);
+                                      uint64_t sync_read_cursor = 0,
+                                      const RbDeltaBasis& basis = {});
 
 // --- Wire payloads -----------------------------------------------------------------
 
@@ -171,20 +165,22 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
 inline constexpr uint64_t kSnapshotChunkBytes = 64 * 1024;
 
 struct SnapshotPayloads {
-  bool delta = false;                        // begin is a kSnapshotDelta payload.
-  std::vector<uint8_t> begin;                // kSnapshotBegin/kSnapshotDelta payload.
+  std::vector<uint8_t> begin;                // kSnapshotDelta payload.
   std::vector<std::vector<uint8_t>> chunks;  // One kSnapshotChunk payload each.
   std::vector<uint8_t> end;                  // kSnapshotEnd payload.
+
+  // Framed wire bytes of the whole checkpoint (one frame header per payload).
+  uint64_t wire_bytes() const;
 };
 
-// Serializes a snapshot into the Begin/Chunk/End payloads (layouts in
+// Serializes a snapshot into the opener/Chunk/End payloads (layouts in
 // docs/RB_WIRE_FORMAT.md). Chunks are the image runs split at kSnapshotChunkBytes;
-// Begin and End both carry the chunk count, total image bytes, and the chained
-// CRC-32 over the chunk payloads so truncation and reordering are detectable
-// end-to-end, beyond the per-frame CRC.
+// the opener and End both carry the chunk count, total image bytes, and the
+// chained CRC-32 over the chunk payloads so truncation and reordering are
+// detectable end-to-end, beyond the per-frame CRC.
 SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap);
 
-// Reassembles a snapshot from Begin/Chunk/End payloads on the receiving side.
+// Reassembles a snapshot from opener/Chunk/End payloads on the receiving side.
 // Any malformed payload, bounds violation, count/byte/CRC mismatch, or
 // out-of-protocol call latches the assembler into the failed state.
 class SnapshotAssembler {
@@ -194,10 +190,8 @@ class SnapshotAssembler {
   State state() const { return state_; }
   const std::string& error() const { return error_; }
 
+  // Opens assembly from a kSnapshotDelta payload.
   bool Begin(const std::vector<uint8_t>& payload);
-  // Opens assembly from a kSnapshotDelta payload instead of kSnapshotBegin; the
-  // chunk/end discipline (bounds, counts, chained CRC) is identical.
-  bool BeginDelta(const std::vector<uint8_t>& payload);
   bool AddChunk(const std::vector<uint8_t>& payload);
   bool End(const std::vector<uint8_t>& payload);
 
@@ -235,25 +229,24 @@ struct SnapshotApplyResult {
 };
 
 // Applies a completed snapshot to `mon`'s RB mirror: per rank, replays every
-// published entry up to the leader cursor (body first, state word last,
-// forward-only, waiter words preserved), zeroes the stale tail beyond the cursor
-// (preserving the resume entry's state/waiter words so a parked consumer is not
-// corrupted), and wakes each touched entry's futex queue. Cross-checks the file
-// map byte-for-byte (a mismatch means the streams diverged and the join is
-// rejected) and counts — but tolerates — epoll-shadow keys the replica has not
-// recorded yet (its consumer threads may legitimately lag the leader). A v3 sync
-// section restores into `sync_agent`'s log mirror (SyncAgent::ApplyLogSnapshot:
-// geometry, cursor, and per-slot divergence checks; tail word last) — carrying
-// one while the replica runs no agent, or vice versa, refuses the join.
-//
-// A delta checkpoint (snap.is_delta) applies the same discipline to its slice:
-// the reset generation must match the replica's (a reset between the basis acks
-// and this join invalidates every offset — the join is refused and the leader
-// retries full), the per-rank walk resumes at delta_from instead of the rank
-// data start, the stale tail is NOT re-zeroed (the mirror's bytes past the
-// leader cursor are already the leader's zeros within one reset generation),
-// the file map is cross-checked via the dirty pages plus a whole-map CRC, and
-// the sync slice lands through SyncAgent::ApplyLogDelta.
+// published entry from delta_from up to the leader cursor (body first, state word
+// last, forward-only, waiter words preserved) and wakes each touched entry's
+// futex queue. The reset generation decides the tail:
+//   * same generation as the mirror: the walk resumes at delta_from and the
+//     mirror's bytes past the leader cursor are already the leader's zeros (both
+//     sides were scrubbed by the same reset round), so they are left alone;
+//   * different generation: every rank must resume at its data start — only an
+//     empty-basis checkpoint can — and the stale tail beyond the cursor is
+//     re-zeroed (preserving the resume entry's state/waiter words so a parked
+//     consumer is not corrupted). A non-empty basis from another generation is
+//     refused.
+// Cross-checks the shipped file-map pages byte-for-byte plus the whole-map CRC (a
+// mismatch means the streams diverged and the join is rejected) and counts — but
+// tolerates — epoll-shadow keys the replica has not recorded yet (its consumer
+// threads may legitimately lag the leader). The sync slice restores into
+// `sync_agent`'s log mirror (SyncAgent::ApplyLogDelta: geometry, cursor, and
+// per-slot divergence checks; tail word last) — carrying one while the replica
+// runs no agent, or vice versa, refuses the join.
 SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
                                           SyncAgent* sync_agent,
                                           const ReplicaSnapshot& snap,

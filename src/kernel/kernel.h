@@ -238,7 +238,7 @@ class Kernel {
   void SysEpollWait(Thread* t, const SyscallRequest& req, Done done);
   void SysNanosleep(Thread* t, const SyscallRequest& req, Done done);
   void SysFutex(Thread* t, const SyscallRequest& req, Done done);
-  void SysPause(Thread* t, const SyscallRequest& req, Done done);
+  void SysPause(Thread* t, Done done);
 
   // Helpers shared by syscall implementations.
   std::shared_ptr<FileDescription> Fd(Thread* t, int fd);

@@ -677,7 +677,7 @@ std::vector<OutRegion> CollectOutRegions(Process* p, const SyscallRequest& req, 
   return regions;
 }
 
-uint64_t EstimateDataSize(Process* p, const SyscallRequest& req) {
+uint64_t EstimateDataSize(const SyscallRequest& req) {
   const SyscallDesc& d = DescOf(req.nr);
   // Six registers plus entry metadata.
   uint64_t size = 6 * 8 + 32;

@@ -240,7 +240,7 @@ struct OutRegion {
 std::vector<OutRegion> CollectOutRegions(Process* p, const SyscallRequest& req, int64_t ret);
 
 // Upper bound of the bytes the call's arguments + results can occupy in the RB.
-uint64_t EstimateDataSize(Process* p, const SyscallRequest& req);
+uint64_t EstimateDataSize(const SyscallRequest& req);
 
 }  // namespace remon
 

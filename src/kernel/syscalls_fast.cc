@@ -93,7 +93,7 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
           if ((flags & kO_TRUNC) != 0) {
             inode->data.clear();
           }
-          file = std::make_shared<RegularHandle>(inode, fs_);
+          file = std::make_shared<RegularHandle>(inode);
           break;
       }
       return InstallFile(t, std::move(file), flags);

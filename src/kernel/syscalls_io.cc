@@ -88,7 +88,7 @@ void Kernel::ExecuteSyscall(Thread* t, const SyscallRequest& req, Done done) {
     case ExecKind::kFutex:
       return SysFutex(t, req, std::move(done));
     case ExecKind::kPause:
-      return SysPause(t, req, std::move(done));
+      return SysPause(t, std::move(done));
     case ExecKind::kFast:
     default:
       return done(SysFast(t, req));
@@ -695,7 +695,7 @@ void Kernel::SysFutex(Thread* t, const SyscallRequest& req, Done done) {
   }
 }
 
-void Kernel::SysPause(Thread* t, const SyscallRequest& req, Done done) {
+void Kernel::SysPause(Thread* t, Done done) {
   BlockThread(t, {}, kTimeNever, /*interruptible=*/true,
               [done = std::move(done)](WakeReason) { done(-kEINTR); });
 }

@@ -17,7 +17,7 @@ class TimerFdFile : public File {
 
   FdType type() const override { return FdType::kTimer; }
 
-  int64_t Read(void* buf, uint64_t len, uint64_t offset) override {
+  int64_t Read(void* buf, uint64_t len, uint64_t /*offset*/) override {
     if (len < 8) {
       return -kEINVAL;
     }

@@ -186,7 +186,7 @@ std::shared_ptr<StreamSocket> StreamSocket::TryAccept() {
   return conn;
 }
 
-int64_t StreamSocket::Read(void* buf, uint64_t len, uint64_t offset) {
+int64_t StreamSocket::Read(void* buf, uint64_t len, uint64_t /*offset*/) {
   if (state_ == State::kListening) {
     return -kEINVAL;
   }
@@ -212,7 +212,7 @@ int64_t StreamSocket::Read(void* buf, uint64_t len, uint64_t offset) {
   return static_cast<int64_t>(n);
 }
 
-int64_t StreamSocket::Write(const void* buf, uint64_t len, uint64_t offset) {
+int64_t StreamSocket::Write(const void* buf, uint64_t len, uint64_t /*offset*/) {
   if (state_ != State::kConnected) {
     return state_ == State::kClosed ? -kEPIPE : -kENOTCONN;
   }
@@ -303,7 +303,7 @@ int StreamSocket::Shutdown(int how) {
   return 0;
 }
 
-void StreamSocket::OnDescriptionClosed(int acc_mode) {
+void StreamSocket::OnDescriptionClosed(int /*acc_mode*/) {
   // Full close once the last description goes away.
   if (state_ == State::kListening) {
     net_->UnbindListener(local_, this);

@@ -5,8 +5,9 @@
 // paper's testbed (2x Xeon E5-2660, Linux 3.13) so that the paper's headline ratios
 // re-emerge: ptrace-based cross-process monitoring costs microseconds per system call
 // (two context switches per stop, four stops per monitored call), while the IP-MON
-// fast path costs tens-to-hundreds of nanoseconds. EXPERIMENTS.md records how measured
-// numbers compare to the paper for every figure.
+// fast path costs tens-to-hundreds of nanoseconds. The bench/ reproductions print
+// each figure's measured numbers beside the paper's, and docs/BENCH_SCHEMA.md
+// describes the committed BENCH_*.json baselines they regenerate.
 
 #ifndef SRC_SIM_COST_MODEL_H_
 #define SRC_SIM_COST_MODEL_H_

@@ -106,7 +106,17 @@ class InlineFunction<R(Args...), Cap> {
     if (other.manage_ != nullptr) {
       other.manage_(storage_, other.storage_);
     } else {
+      // The whole buffer moves, including the bytes past a smaller callable that
+      // were never written: copying indeterminate unsigned chars is well-defined,
+      // and g++ cannot see that the tail is never read.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
       std::memcpy(storage_, other.storage_, Cap);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
     }
     invoke_ = other.invoke_;
     manage_ = other.manage_;

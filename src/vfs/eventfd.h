@@ -16,7 +16,7 @@ class EventFdFile : public File {
 
   FdType type() const override { return FdType::kEvent; }
 
-  int64_t Read(void* buf, uint64_t len, uint64_t offset) override {
+  int64_t Read(void* buf, uint64_t len, uint64_t /*offset*/) override {
     if (len < 8) {
       return -kEINVAL;
     }
@@ -29,7 +29,7 @@ class EventFdFile : public File {
     return 8;
   }
 
-  int64_t Write(const void* buf, uint64_t len, uint64_t offset) override {
+  int64_t Write(const void* buf, uint64_t len, uint64_t /*offset*/) override {
     if (len < 8) {
       return -kEINVAL;
     }

@@ -39,10 +39,14 @@ class File {
 
   // Non-blocking attempt to read at `offset` (stream files ignore it). Returns bytes
   // read (0 == EOF), or -errno; -EAGAIN when the call would block.
-  virtual int64_t Read(void* buf, uint64_t len, uint64_t offset) { return -kEINVAL; }
+  virtual int64_t Read(void* /*buf*/, uint64_t /*len*/, uint64_t /*offset*/) {
+    return -kEINVAL;
+  }
 
   // Non-blocking attempt to write. Returns bytes written or -errno (-EAGAIN: full).
-  virtual int64_t Write(const void* buf, uint64_t len, uint64_t offset) { return -kEINVAL; }
+  virtual int64_t Write(const void* /*buf*/, uint64_t /*len*/, uint64_t /*offset*/) {
+    return -kEINVAL;
+  }
 
   // Current readiness mask (kPollIn/kPollOut/...).
   virtual uint32_t Poll() const { return 0; }
@@ -50,10 +54,10 @@ class File {
   // Byte size for lseek/stat; -1 when not seekable.
   virtual int64_t Size() const { return -1; }
 
-  virtual int64_t Ioctl(uint64_t cmd, uint64_t arg) { return -kENOTTY; }
+  virtual int64_t Ioctl(uint64_t /*cmd*/, uint64_t /*arg*/) { return -kENOTTY; }
 
   // Called when a file *description* referring to this file is destroyed.
-  virtual void OnDescriptionClosed(int acc_mode) {}
+  virtual void OnDescriptionClosed(int /*acc_mode*/) {}
 
   // Objects whose state changes asynchronously call Wake() here; blocked threads and
   // epoll instances subscribe.

@@ -303,7 +303,7 @@ int64_t SpecialHandle::Read(void* buf, uint64_t len, uint64_t offset) {
   return static_cast<int64_t>(n);
 }
 
-int64_t UrandomHandle::Read(void* buf, uint64_t len, uint64_t offset) {
+int64_t UrandomHandle::Read(void* buf, uint64_t len, uint64_t /*offset*/) {
   uint8_t* dst = static_cast<uint8_t*>(buf);
   for (uint64_t i = 0; i < len; ++i) {
     // splitmix64 step; cheap and deterministic.

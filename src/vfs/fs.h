@@ -79,7 +79,7 @@ class Filesystem {
 // Handle for regular files.
 class RegularHandle : public File {
  public:
-  RegularHandle(std::shared_ptr<Inode> inode, Filesystem* fs) : inode_(std::move(inode)) {}
+  explicit RegularHandle(std::shared_ptr<Inode> inode) : inode_(std::move(inode)) {}
 
   FdType type() const override { return FdType::kRegular; }
   int64_t Read(void* buf, uint64_t len, uint64_t offset) override;

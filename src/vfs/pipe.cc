@@ -16,7 +16,7 @@ std::pair<std::shared_ptr<PipeReadEnd>, std::shared_ptr<PipeWriteEnd>> Pipe::Cre
   return {rd, wr};
 }
 
-int64_t PipeReadEnd::Read(void* buf, uint64_t len, uint64_t offset) {
+int64_t PipeReadEnd::Read(void* buf, uint64_t len, uint64_t /*offset*/) {
   Pipe& p = *pipe_;
   if (p.buffer_.empty()) {
     if (!p.write_open()) {
@@ -48,7 +48,7 @@ uint32_t PipeReadEnd::Poll() const {
   return mask;
 }
 
-void PipeReadEnd::OnDescriptionClosed(int acc_mode) {
+void PipeReadEnd::OnDescriptionClosed(int /*acc_mode*/) {
   if (--pipe_->readers_ == 0) {
     pipe_->read_end_ = nullptr;
     if (pipe_->write_end_ != nullptr) {
@@ -57,7 +57,7 @@ void PipeReadEnd::OnDescriptionClosed(int acc_mode) {
   }
 }
 
-int64_t PipeWriteEnd::Write(const void* buf, uint64_t len, uint64_t offset) {
+int64_t PipeWriteEnd::Write(const void* buf, uint64_t len, uint64_t /*offset*/) {
   Pipe& p = *pipe_;
   if (!p.read_open()) {
     return -kEPIPE;
@@ -86,7 +86,7 @@ uint32_t PipeWriteEnd::Poll() const {
   return mask;
 }
 
-void PipeWriteEnd::OnDescriptionClosed(int acc_mode) {
+void PipeWriteEnd::OnDescriptionClosed(int /*acc_mode*/) {
   if (--pipe_->writers_ == 0) {
     pipe_->write_end_ = nullptr;
     if (pipe_->read_end_ != nullptr) {

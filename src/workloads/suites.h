@@ -6,8 +6,9 @@
 // the spec against the simulated kernel. Specs are derived from the per-benchmark
 // bars of Figures 3 and 4: the difference between a benchmark's GHUMVEE-only and
 // IP-MON bars determines its (category-resolved) system-call rate, and the IP-MON
-// bar's residual determines its memory pressure. EXPERIMENTS.md documents the
-// derivation and compares measured results against the paper per benchmark.
+// bar's residual determines its memory pressure. bench/bench_fig3_parsec_splash and
+// bench/bench_fig4_phoronix print the measured results beside these paper targets,
+// per benchmark.
 
 #ifndef SRC_WORKLOADS_SUITES_H_
 #define SRC_WORKLOADS_SUITES_H_
@@ -55,7 +56,8 @@ struct WorkloadSpec {
   int sync_ops = 0;
   uint32_t sync_objects = 8;  // Distinct lock objects the rotation cycles over.
 
-  // Paper targets for EXPERIMENTS.md (normalized runtime, 2 replicas).
+  // Paper targets the fig. 3/4 benches print beside the measured bars (normalized
+  // runtime, 2 replicas).
   double paper_ghumvee = 0.0;
   double paper_remon = 0.0;
 

@@ -205,7 +205,7 @@ TEST(KernelTest, SignalHandlerRuns) {
   int handled_sig = 0;
   w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
     uint64_t cookie = g.RegisterHandler(
-        [&handled_sig](Guest& hg, int sig) -> GuestTask<void> {
+        [&handled_sig](Guest&, int sig) -> GuestTask<void> {
           handled_sig = sig;
           co_return;
         });

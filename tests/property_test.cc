@@ -885,6 +885,16 @@ struct SyncOp {
   uint32_t object = 0;
 };
 
+// The occupied sync-log slots (min(tail, capacity) of them, slot order): the
+// bytes a run leaves behind in a log, compared across placements.
+std::vector<uint8_t> OccupiedLogSlots(const SyncAgent& agent) {
+  std::vector<uint8_t> slots(std::min(agent.tail(), agent.capacity()) * kSyncLogEntrySize);
+  if (!slots.empty()) {
+    agent.log().ReadBytes(kSyncLogOffEntries, slots.data(), slots.size());
+  }
+  return slots;
+}
+
 std::vector<SyncOp> SyncScheduleFor(uint64_t seed, FuzzShape shape) {
   Rng rng(seed * 0x51ab3 + 7);
   std::vector<SyncOp> schedule;
@@ -1022,7 +1032,7 @@ SyncFuzzOutcome RunSyncFuzz(
     bool remote_last_replica = false, TimeNs kill_remote_at = 0,
     const std::function<void(Remon&, SimWorld&)>& post_run = nullptr,
     DurationNs link_latency = 50 * kMicrosecond, int max_inflight_frames = 8,
-    bool rb_auth = false) {
+    bool rb_auth = false, ReseedMode reseed_mode = ReseedMode::kDelta) {
   SimWorld w(seed);
   RemonOptions opts;
   opts.mode = MveeMode::kRemon;
@@ -1045,6 +1055,7 @@ SyncFuzzOutcome RunSyncFuzz(
   }
   if (kill_remote_at > 0) {
     opts.respawn_dead_replicas = true;
+    opts.reseed_mode = reseed_mode;
   }
   Remon mvee(&w.kernel, opts);
   mvee.Launch(SyncFuzzWorkload(seed, shape, SyncScheduleFor(seed, shape)), "syncfuzz");
@@ -1076,13 +1087,13 @@ SyncFuzzOutcome RunSyncFuzz(
   out.rejoins = stats.rb_replica_joins;
   if (mvee.sync_agent(0) != nullptr && mvee.sync_agent(0)->log_valid()) {
     out.master_tail = mvee.sync_agent(0)->tail();
-    out.master_log = mvee.sync_agent(0)->CaptureLogImage();
+    out.master_log = OccupiedLogSlots(*mvee.sync_agent(0));
   }
   if (remote_last_replica) {
     SyncAgent* remote = mvee.sync_agent(replicas - 1);
     if (remote != nullptr && remote->log_valid()) {
       out.remote_tail = remote->tail();
-      out.remote_log = remote->CaptureLogImage();
+      out.remote_log = OccupiedLogSlots(*remote);
     }
   }
   if (post_run) {
@@ -1263,9 +1274,12 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
 
 // Kill-one-replica-mid-fuzz re-seed variant: tearing the remote multi-threaded
 // replica's link down mid-run and checkpoint-seeding a replacement (snapshot now
-// carrying the sync-log image + replay cursor) must be invisible — transcripts,
-// RB stream, and sync log byte-identical to the never-died run.
-TEST(SyncLockstepTest, ReseedMidFuzzCarriesSyncLog) {
+// carrying the sync-log slice + replay cursor) must be invisible — transcripts,
+// RB stream, and sync log byte-identical to the never-died run. Both the delta
+// and the empty-basis checkpoint (--reseed=full: the whole occupied log lap).
+class ReseedSyncLogTest : public ::testing::TestWithParam<ReseedMode> {};
+
+TEST_P(ReseedSyncLogTest, ReseedMidFuzzCarriesSyncLog) {
   int exercised = 0;
   for (uint64_t seed : {5, 19, 33, 47, 88, 131, 212, 333, 421, 555, 777, 901}) {
     FuzzShape shape = ShapeFor(seed);
@@ -1276,9 +1290,10 @@ TEST(SyncLockstepTest, ReseedMidFuzzCarriesSyncLog) {
     ASSERT_TRUE(base.ok) << "seed " << seed;
     ASSERT_EQ(base.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
 
-    SyncFuzzOutcome reseeded = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
-                                           /*remote_last_replica=*/true,
-                                           /*kill_remote_at=*/Micros(200));
+    SyncFuzzOutcome reseeded = RunSyncFuzz(
+        seed, shape, 3, 8, RbBatchPolicy::kAdaptive, /*remote_last_replica=*/true,
+        /*kill_remote_at=*/Micros(200), nullptr, 50 * kMicrosecond, 8,
+        /*rb_auth=*/false, GetParam());
     ASSERT_TRUE(reseeded.ok) << "seed " << seed;
     ASSERT_EQ(base.transcript, reseeded.transcript) << "seed " << seed;
     ASSERT_EQ(base.rb_entries, reseeded.rb_entries) << "seed " << seed;
@@ -1293,6 +1308,9 @@ TEST(SyncLockstepTest, ReseedMidFuzzCarriesSyncLog) {
   // The kill must actually land mid-run for most seeds or the variant is vacuous.
   EXPECT_GE(exercised, 10);
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, ReseedSyncLogTest,
+                         ::testing::Values(ReseedMode::kDelta, ReseedMode::kFull));
 
 // Epoch regression on data frames: after a re-seed, a frame stamped with a
 // pre-join epoch is a replay by definition — it is rejected, the mirror stays
@@ -1455,13 +1473,13 @@ SuiteSyncOutcome RunSuiteSync(const WorkloadSpec& spec, uint64_t seed,
   out.rejoins = stats.rb_replica_joins;
   if (mvee.sync_agent(0) != nullptr && mvee.sync_agent(0)->log_valid()) {
     out.master_tail = mvee.sync_agent(0)->tail();
-    out.master_log = mvee.sync_agent(0)->CaptureLogImage();
+    out.master_log = OccupiedLogSlots(*mvee.sync_agent(0));
   }
   if (remote_last_replica) {
     SyncAgent* remote = mvee.sync_agent(kReplicas - 1);
     if (remote != nullptr && remote->log_valid()) {
       out.remote_tail = remote->tail();
-      out.remote_log = remote->CaptureLogImage();
+      out.remote_log = OccupiedLogSlots(*remote);
     }
   }
   return out;

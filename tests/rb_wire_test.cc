@@ -202,7 +202,7 @@ TEST(RbWireTest, SnapshotFramesRoundTripWithOpaquePayload) {
   }
   std::vector<uint8_t> stream;
   uint64_t seq = 0;
-  for (RbFrameType type : {RbFrameType::kSnapshotBegin, RbFrameType::kSnapshotChunk,
+  for (RbFrameType type : {RbFrameType::kSnapshotDelta, RbFrameType::kSnapshotChunk,
                            RbFrameType::kSnapshotEnd}) {
     std::vector<uint8_t> frame =
         RbWireCodec::EncodeSnapshotFrame(type, /*epoch=*/3, /*rank=*/2, ++seq, payload);
@@ -210,7 +210,7 @@ TEST(RbWireTest, SnapshotFramesRoundTripWithOpaquePayload) {
   }
   RbFrameParser parser;
   FeedFragmented(&parser, stream, &rng);
-  for (RbFrameType type : {RbFrameType::kSnapshotBegin, RbFrameType::kSnapshotChunk,
+  for (RbFrameType type : {RbFrameType::kSnapshotDelta, RbFrameType::kSnapshotChunk,
                            RbFrameType::kSnapshotEnd}) {
     RbWireFrame out;
     ASSERT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
@@ -293,7 +293,7 @@ TEST(RbWireTest, SnapshotPayloadsThroughWireFraming) {
     std::vector<uint8_t> frame = RbWireCodec::EncodeSnapshotFrame(type, 2, 1, ++seq, p);
     stream.insert(stream.end(), frame.begin(), frame.end());
   };
-  add(RbFrameType::kSnapshotBegin, payloads.begin);
+  add(RbFrameType::kSnapshotDelta, payloads.begin);
   for (const auto& c : payloads.chunks) {
     add(RbFrameType::kSnapshotChunk, c);
   }
@@ -305,7 +305,7 @@ TEST(RbWireTest, SnapshotPayloadsThroughWireFraming) {
   RbWireFrame out;
   while (parser.Next(&out) == RbFrameParser::Status::kFrame) {
     switch (out.type) {
-      case RbFrameType::kSnapshotBegin:
+      case RbFrameType::kSnapshotDelta:
         ASSERT_TRUE(assembler.Begin(out.payload)) << assembler.error();
         break;
       case RbFrameType::kSnapshotChunk:
@@ -522,8 +522,8 @@ TEST(RbWireTest, JoinAttestCarriesPlacementMachine) {
 }
 
 TEST(RbWireTest, SnapshotDeltaFrameRoundTrip) {
-  // kSnapshotDelta opens a delta re-seed stream; the payload is opaque to the
-  // framing layer, exactly like kSnapshotBegin.
+  // kSnapshotDelta opens every re-seed stream; the payload is opaque to the
+  // framing layer.
   std::vector<uint8_t> payload(257);
   for (size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<uint8_t>(i * 13);
@@ -539,6 +539,20 @@ TEST(RbWireTest, SnapshotDeltaFrameRoundTrip) {
   EXPECT_EQ(out.rank, 1u);
   EXPECT_EQ(out.frame_seq, 42u);
   EXPECT_EQ(out.payload, payload);
+}
+
+TEST(RbWireTest, RetiredSnapshotBeginTypeRejected) {
+  // Type 3 opened full checkpoints up to v5. Since v6 every checkpoint opens with
+  // kSnapshotDelta, so a frame of the retired type is corrupt even under a valid
+  // CRC.
+  std::vector<uint8_t> frame = RbWireCodec::EncodeSnapshotFrame(
+      static_cast<RbFrameType>(kRbRetiredSnapshotBeginType), 2, 0, 1,
+      std::vector<uint8_t>(104, 0));
+  RbFrameParser parser;
+  parser.Feed(frame.data(), frame.size());
+  RbWireFrame out;
+  EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
+  EXPECT_STREQ(parser.corrupt_reason(), "unknown frame type");
 }
 
 TEST(RbWireTest, TruncatedJoinAttestPayloadRejected) {
@@ -700,7 +714,7 @@ TEST(RbWireNegativeCorpus, MutatedAuthFramesNeverCrashParser) {
   corpus.push_back(RbWireCodec::EncodeSyncLog(1, 2, 9, RandomSyncRecords(&rng, 3)));
   corpus.push_back(RbWireCodec::EncodeAck(1, 5, 77));
   corpus.push_back(RbWireCodec::EncodeJoinAttest(1, 2, 0x1234, 8));
-  corpus.push_back(RbWireCodec::EncodeSnapshotFrame(RbFrameType::kSnapshotBegin, 1, 0,
+  corpus.push_back(RbWireCodec::EncodeSnapshotFrame(RbFrameType::kSnapshotDelta, 1, 0,
                                                     3, std::vector<uint8_t>(128, 0x7e)));
   for (auto& f : corpus) {
     auth.SealFrame(&f, RbAuthDirection::kLeaderToReplica);

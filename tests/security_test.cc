@@ -44,7 +44,7 @@ TEST(SecurityTest, TokenBoundToForwardedCall) {
   // "If IP-MON executes a different system call ... IK-B revokes the token."
   SimWorld w(102);
   Remon mvee(&w.kernel, RemonAt(PolicyLevel::kNonsocketRw));
-  mvee.Launch([](Guest& g) -> GuestTask<void> { co_return; });
+  mvee.Launch([](Guest&) -> GuestTask<void> { co_return; });
   w.Run();
   Thread* t = mvee.master()->threads[0];
   t->cur_req.nr = Sys::kRead;
@@ -61,7 +61,7 @@ TEST(SecurityTest, TokensAreUnpredictable) {
   // of §4; the full entropy argument is over the PRNG).
   SimWorld w(103);
   Remon mvee(&w.kernel, RemonAt(PolicyLevel::kNonsocketRw));
-  mvee.Launch([](Guest& g) -> GuestTask<void> { co_return; });
+  mvee.Launch([](Guest&) -> GuestTask<void> { co_return; });
   w.Run();
   Thread* t = mvee.master()->threads[0];
   std::set<uint64_t> seen;
@@ -244,7 +244,7 @@ TEST(SecurityTest, RemonStopsTheSameAttack) {
 TEST(SecurityTest, DclGivesDisjointCodeAcrossManyReplicas) {
   SimWorld w(110);
   Remon mvee(&w.kernel, RemonAt(PolicyLevel::kSocketRw, 7));
-  mvee.Launch([](Guest& g) -> GuestTask<void> { co_return; });
+  mvee.Launch([](Guest&) -> GuestTask<void> { co_return; });
   w.Run();
   const auto& replicas = mvee.replicas();
   for (size_t i = 0; i < replicas.size(); ++i) {
@@ -267,14 +267,14 @@ TEST(SecurityTest, AslrRandomizesAcrossSeeds) {
   {
     SimWorld w(111);
     Remon mvee(&w.kernel, RemonAt(PolicyLevel::kSocketRw));
-    mvee.Launch([](Guest& g) -> GuestTask<void> { co_return; });
+    mvee.Launch([](Guest&) -> GuestTask<void> { co_return; });
     w.Run();
     base1 = mvee.master()->layout.code_base;
   }
   {
     SimWorld w(112);
     Remon mvee(&w.kernel, RemonAt(PolicyLevel::kSocketRw));
-    mvee.Launch([](Guest& g) -> GuestTask<void> { co_return; });
+    mvee.Launch([](Guest&) -> GuestTask<void> { co_return; });
     w.Run();
     base2 = mvee.master()->layout.code_base;
   }

@@ -1,7 +1,8 @@
 // Tests for the replica re-seed snapshot subsystem (src/core/snapshot.{h,cc}):
 // sparse VMA image capture/restore (page-for-page equality including lazy holes),
-// serialization round trips through the Begin/Chunk/End payloads, and assembler
-// rejection of malformed checkpoints. The end-to-end kill/re-seed behavior is
+// serialization round trips through the opener/Chunk/End payloads, assembler
+// rejection of malformed checkpoints, and the mirror apply's reset-generation
+// rules on a live leader/mirror pair. The end-to-end kill/re-seed behavior is
 // covered by the fuzz in tests/property_test.cc and the server test in
 // tests/workloads_test.cc.
 
@@ -9,10 +10,14 @@
 
 #include <cstring>
 
+#include "src/core/ipmon.h"
+#include "src/core/remon.h"
+#include "src/core/replication_buffer.h"
 #include "src/core/snapshot.h"
 #include "src/core/sync_agent.h"
 #include "src/mem/address_space.h"
 #include "src/sim/rng.h"
+#include "tests/test_util.h"
 
 namespace remon {
 namespace {
@@ -148,26 +153,29 @@ ReplicaSnapshot MakeSnapshot(Rng* rng, uint64_t rb_size, int max_ranks) {
   return snap;
 }
 
-// Adds a coherent sync-agent log section (v3): a circular log of `cap` slots with
-// `tail` ops recorded, the occupied-slot image carrying per-slot seq stamps that
-// match what a real wraparound history would leave behind.
-void AddSyncSection(ReplicaSnapshot* snap, Rng* rng, uint64_t cap, uint64_t tail) {
+// Adds a sync-log section: slots [from, tail) of a `cap`-slot log in seq order
+// (embedded seqs), the replay cursor somewhere inside the slice.
+void AddSyncSection(ReplicaSnapshot* snap, Rng* rng, uint64_t cap, uint64_t from,
+                    uint64_t tail) {
   snap->sync_log_size = kSyncLogOffEntries + cap * kSyncLogEntrySize;
+  snap->sync_from = from;
   snap->sync_tail = tail;
-  snap->sync_read_cursor = rng->NextBelow(tail + 1);
-  uint64_t occupied = std::min(tail, cap);
-  snap->sync_image.assign(occupied * kSyncLogEntrySize, 0);
-  for (uint64_t s = 0; s < occupied; ++s) {
+  snap->sync_read_cursor = from + rng->NextBelow(tail - from + 1);
+  snap->sync_image.assign((tail - from) * kSyncLogEntrySize, 0);
+  for (uint64_t i = 0; i < tail - from; ++i) {
     uint32_t obj = static_cast<uint32_t>(rng->NextBelow(1000));
     uint32_t rank = static_cast<uint32_t>(rng->NextBelow(4));
-    // The last seq written to slot s: the largest value < tail congruent to s.
-    uint64_t laps = (tail - 1 - s) / cap;
-    uint64_t seq = s + laps * cap;
-    uint8_t* slot = snap->sync_image.data() + s * kSyncLogEntrySize;
+    uint64_t seq = from + i;
+    uint8_t* slot = snap->sync_image.data() + i * kSyncLogEntrySize;
     std::memcpy(slot, &obj, 4);
     std::memcpy(slot + 4, &rank, 4);
     std::memcpy(slot + 8, &seq, 8);
   }
+}
+
+// The empty basis ships the whole occupied lap of the log.
+void AddSyncLap(ReplicaSnapshot* snap, Rng* rng, uint64_t cap, uint64_t tail) {
+  AddSyncSection(snap, rng, cap, tail - std::min(tail, cap), tail);
 }
 
 std::vector<uint8_t> FlattenImage(const ReplicaSnapshot& snap) {
@@ -178,6 +186,8 @@ std::vector<uint8_t> FlattenImage(const ReplicaSnapshot& snap) {
   return flat;
 }
 
+// A hand-built checkpoint leaves the basis fields at their defaults: every rank
+// resumes at its data start and `file_map` is the whole map — the empty basis.
 TEST(SnapshotCodecTest, SerializeAssembleRoundTrip) {
   Rng rng(99);
   for (int iter = 0; iter < 20; ++iter) {
@@ -185,9 +195,9 @@ TEST(SnapshotCodecTest, SerializeAssembleRoundTrip) {
     int ranks = 1 + static_cast<int>(rng.NextBelow(8));
     ReplicaSnapshot snap = MakeSnapshot(&rng, rb_size, ranks);
     if (iter % 2 == 0) {
-      // Half the sweep carries a v3 sync section, wrapped and unwrapped alike.
+      // Half the sweep carries a sync section, wrapped and unwrapped alike.
       uint64_t cap = 8 + rng.NextBelow(64);
-      AddSyncSection(&snap, &rng, cap, rng.NextBelow(3 * cap) + 1);
+      AddSyncLap(&snap, &rng, cap, rng.NextBelow(3 * cap) + 1);
     }
     SnapshotPayloads payloads = SerializeSnapshot(snap);
 
@@ -204,7 +214,10 @@ TEST(SnapshotCodecTest, SerializeAssembleRoundTrip) {
     EXPECT_EQ(out.max_ranks, snap.max_ranks);
     EXPECT_EQ(out.cursors, snap.cursors);
     EXPECT_EQ(out.seqs, snap.seqs);
+    EXPECT_EQ(out.delta_from, std::vector<uint64_t>(static_cast<size_t>(ranks), 0));
     EXPECT_EQ(out.lockstep_cursor, snap.lockstep_cursor);
+    EXPECT_EQ(out.file_map_page_count, 1u);
+    EXPECT_EQ(out.file_map_pages, std::vector<uint32_t>{0});
     EXPECT_EQ(out.file_map, snap.file_map);
     ASSERT_EQ(out.epoll.size(), snap.epoll.size());
     for (size_t i = 0; i < out.epoll.size(); ++i) {
@@ -213,6 +226,7 @@ TEST(SnapshotCodecTest, SerializeAssembleRoundTrip) {
       EXPECT_EQ(out.epoll[i].data, snap.epoll[i].data);
     }
     EXPECT_EQ(out.sync_log_size, snap.sync_log_size);
+    EXPECT_EQ(out.sync_from, snap.sync_from);
     EXPECT_EQ(out.sync_tail, snap.sync_tail);
     EXPECT_EQ(out.sync_read_cursor, snap.sync_read_cursor);
     EXPECT_EQ(out.sync_image, snap.sync_image) << "iter " << iter;
@@ -220,12 +234,37 @@ TEST(SnapshotCodecTest, SerializeAssembleRoundTrip) {
   }
 }
 
-// --- v3 sync-log section rejection vectors -----------------------------------------
+// The minimal checkpoint a codec micro-benchmark builds: geometry, cursors,
+// seqs, one file-map page and an image, nothing else set.
+TEST(SnapshotCodecTest, MinimalHandBuiltSnapshotAssembles) {
+  ReplicaSnapshot snap;
+  snap.rb_size = 64 * kPageSize;
+  snap.max_ranks = 4;
+  snap.cursors.assign(4, kRbGlobalHeaderSize);
+  snap.seqs.assign(4, 0);
+  snap.file_map.assign(kPageSize, 0);
+  snap.rb_image.length = snap.rb_size;
+  PageRun run;
+  run.bytes.assign(3 * kPageSize, 0x5a);
+  snap.rb_image.runs.push_back(std::move(run));
+
+  SnapshotPayloads payloads = SerializeSnapshot(snap);
+  SnapshotAssembler asm_;
+  ASSERT_TRUE(asm_.Begin(payloads.begin)) << asm_.error();
+  for (const auto& chunk : payloads.chunks) {
+    ASSERT_TRUE(asm_.AddChunk(chunk)) << asm_.error();
+  }
+  ASSERT_TRUE(asm_.End(payloads.end)) << asm_.error();
+  EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kComplete);
+  EXPECT_EQ(asm_.image(), FlattenImage(snap));
+}
+
+// --- Sync-log section rejection vectors --------------------------------------------
 
 TEST(SnapshotCodecTest, SyncSectionWithoutLogSizeRejected) {
   Rng rng(41);
   ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
-  AddSyncSection(&snap, &rng, 16, 10);
+  AddSyncLap(&snap, &rng, 16, 10);
   snap.sync_log_size = 0;  // Image + tail without a log to describe them.
   SnapshotPayloads payloads = SerializeSnapshot(snap);
   SnapshotAssembler asm_;
@@ -236,7 +275,7 @@ TEST(SnapshotCodecTest, SyncSectionWithoutLogSizeRejected) {
 TEST(SnapshotCodecTest, SyncImageLengthDisagreeingWithTailRejected) {
   Rng rng(43);
   ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
-  AddSyncSection(&snap, &rng, 16, 10);
+  AddSyncLap(&snap, &rng, 16, 10);
   snap.sync_image.resize(snap.sync_image.size() - kSyncLogEntrySize);  // One short.
   SnapshotPayloads payloads = SerializeSnapshot(snap);
   SnapshotAssembler asm_;
@@ -247,7 +286,7 @@ TEST(SnapshotCodecTest, SyncImageLengthDisagreeingWithTailRejected) {
 TEST(SnapshotCodecTest, SyncCursorPastTailRejected) {
   Rng rng(47);
   ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
-  AddSyncSection(&snap, &rng, 16, 10);
+  AddSyncLap(&snap, &rng, 16, 10);
   snap.sync_read_cursor = snap.sync_tail + 1;  // A cursor the log cannot reach.
   SnapshotPayloads payloads = SerializeSnapshot(snap);
   SnapshotAssembler asm_;
@@ -258,7 +297,7 @@ TEST(SnapshotCodecTest, SyncCursorPastTailRejected) {
 TEST(SnapshotCodecTest, SyncLogSmallerThanItsHeaderRejected) {
   Rng rng(53);
   ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
-  AddSyncSection(&snap, &rng, 4, 4);
+  AddSyncLap(&snap, &rng, 4, 4);
   snap.sync_log_size = kSyncLogOffEntries;  // Room for the tail word, no slots.
   SnapshotPayloads payloads = SerializeSnapshot(snap);
   SnapshotAssembler asm_;
@@ -329,14 +368,13 @@ TEST(SnapshotCodecTest, ChunkBeforeBeginIsProtocolViolation) {
   EXPECT_TRUE(asm_.Begin(payloads.begin));
 }
 
-// --- kSnapshotDelta (wire v5) round-trip and rejection vectors ----------------------
+// --- Opener rejection vectors -----------------------------------------------------
 
-// Marks a synthetic checkpoint as an O(delta) one: per-rank resume offsets, a
-// dirty-page file-map section (3 of 4 pages) with a whole-map CRC, and a reset
+// A synthetic checkpoint against a non-empty basis: per-rank resume offsets, a
+// file-map section carrying 3 of 4 pages with a whole-map CRC, and a reset
 // generation for the lap guard.
 ReplicaSnapshot MakeDeltaSnapshot(Rng* rng, uint64_t rb_size, int max_ranks) {
   ReplicaSnapshot snap = MakeSnapshot(rng, rb_size, max_ranks);
-  snap.is_delta = true;
   snap.reset_generation = rng->NextBelow(5);
   for (int r = 0; r < max_ranks; ++r) {
     snap.delta_from.push_back(rng->NextBelow(snap.cursors[static_cast<size_t>(r)] + 1));
@@ -351,25 +389,96 @@ ReplicaSnapshot MakeDeltaSnapshot(Rng* rng, uint64_t rb_size, int max_ranks) {
   return snap;
 }
 
-// Adds a delta sync section: slots [from, tail) in seq order, the replay cursor
-// somewhere inside the slice, slice length within one lap of a `cap`-slot log.
-void AddSyncDeltaSection(ReplicaSnapshot* snap, Rng* rng, uint64_t cap,
-                         uint64_t from, uint64_t tail) {
-  snap->sync_log_size = kSyncLogOffEntries + cap * kSyncLogEntrySize;
-  snap->sync_from = from;
-  snap->sync_tail = tail;
-  snap->sync_read_cursor = from + rng->NextBelow(tail - from + 1);
-  snap->sync_image.assign((tail - from) * kSyncLogEntrySize, 0);
-  for (uint64_t i = 0; i < tail - from; ++i) {
-    uint32_t obj = static_cast<uint32_t>(rng->NextBelow(1000));
-    uint32_t rank = static_cast<uint32_t>(rng->NextBelow(4));
-    uint64_t seq = from + i;  // Seq order, embedded seqs.
-    uint8_t* slot = snap->sync_image.data() + i * kSyncLogEntrySize;
-    std::memcpy(slot, &obj, 4);
-    std::memcpy(slot + 4, &rank, 4);
-    std::memcpy(slot + 8, &seq, 8);
+
+// kSnapshotDelta opener header fields, for poking malformed values.
+constexpr size_t kOpenOffRbSize = 0;
+constexpr size_t kOpenOffMaxRanks = 8;
+constexpr size_t kOpenOffRankCount = 12;
+constexpr size_t kOpenOffImageBytes = 16;
+constexpr size_t kOpenOffFmPageCount = 48;
+constexpr size_t kOpenOffFmShippedCount = 52;
+
+void ExpectTruncationsRejected(const SnapshotPayloads& payloads) {
+  // One byte short: the variable-section arithmetic no longer adds up.
+  std::vector<uint8_t> short_one = payloads.begin;
+  short_one.pop_back();
+  SnapshotAssembler asm_;
+  EXPECT_FALSE(asm_.Begin(short_one));
+  EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
+  EXPECT_EQ(asm_.error(), "snapshot begin payload size mismatch");
+
+  // One byte long: trailing garbage is a size mismatch too.
+  std::vector<uint8_t> long_one = payloads.begin;
+  long_one.push_back(0);
+  asm_.Reset();
+  EXPECT_FALSE(asm_.Begin(long_one));
+  EXPECT_EQ(asm_.error(), "snapshot begin payload size mismatch");
+
+  // Shorter than the fixed header: rejected before any field is read.
+  std::vector<uint8_t> short_hdr(payloads.begin.begin(), payloads.begin.begin() + 40);
+  asm_.Reset();
+  EXPECT_FALSE(asm_.Begin(short_hdr));
+  EXPECT_EQ(asm_.error(), "snapshot begin payload truncated");
+
+  // The untouched payload still opens fine after Reset.
+  asm_.Reset();
+  EXPECT_TRUE(asm_.Begin(payloads.begin)) << asm_.error();
+}
+
+TEST(SnapshotCodecTest, TruncatedOrOversizedOpenerRejected) {
+  Rng rng(103);
+  for (const ReplicaSnapshot& snap : {MakeSnapshot(&rng, 64 * kPageSize, 2),
+                                      MakeDeltaSnapshot(&rng, 64 * kPageSize, 2)}) {
+    ExpectTruncationsRejected(SerializeSnapshot(snap));
   }
 }
+
+TEST(SnapshotCodecTest, OpenerMetadataOutOfBoundsRejected) {
+  Rng rng(113);
+  ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
+  SnapshotPayloads payloads = SerializeSnapshot(snap);
+  struct Poke {
+    size_t off;
+    int width;  // Bytes.
+    uint64_t value;
+    const char* what;
+  };
+  const Poke pokes[] = {
+      {kOpenOffRbSize, 8, 64 * kPageSize + 8, "rb_size not page-aligned"},
+      {kOpenOffRbSize, 8, 0, "rb_size zero"},
+      {kOpenOffRbSize, 8, 2ULL << 30, "rb_size above 1 GiB"},
+      {kOpenOffMaxRanks, 4, 0, "no ranks"},
+      {kOpenOffRankCount, 4, 3, "rank_count != max_ranks"},
+      {kOpenOffFmPageCount, 4, 0, "empty file map"},
+      {kOpenOffFmPageCount, 4, 1025, "file map above 1024 pages"},
+      {kOpenOffFmShippedCount, 4, 2, "more shipped pages than the map has"},
+      {kOpenOffImageBytes, 8, 65 * kPageSize, "image larger than the RB"},
+  };
+  for (const Poke& poke : pokes) {
+    std::vector<uint8_t> bad = payloads.begin;
+    std::memcpy(bad.data() + poke.off, &poke.value, static_cast<size_t>(poke.width));
+    SnapshotAssembler asm_;
+    EXPECT_FALSE(asm_.Begin(bad)) << poke.what;
+    EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed) << poke.what;
+  }
+}
+
+TEST(SnapshotCodecTest, ChunkReservedFieldMustBeZero) {
+  // The opener layout has no reserved word; the chunk header's is MUST-be-zero so
+  // a future revision can use it.
+  Rng rng(127);
+  ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
+  SnapshotPayloads payloads = SerializeSnapshot(snap);
+  ASSERT_FALSE(payloads.chunks.empty());
+  std::vector<uint8_t> chunk = payloads.chunks[0];
+  chunk[12] = 1;  // reserved
+  SnapshotAssembler asm_;
+  ASSERT_TRUE(asm_.Begin(payloads.begin)) << asm_.error();
+  EXPECT_FALSE(asm_.AddChunk(chunk));
+  EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
+}
+
+// --- Non-empty basis round trip and rejection vectors ------------------------------
 
 TEST(SnapshotCodecTest, DeltaSerializeAssembleRoundTrip) {
   Rng rng(101);
@@ -381,13 +490,12 @@ TEST(SnapshotCodecTest, DeltaSerializeAssembleRoundTrip) {
       uint64_t cap = 8 + rng.NextBelow(64);
       uint64_t from = rng.NextBelow(100);
       uint64_t tail = from + rng.NextBelow(cap + 1);
-      AddSyncDeltaSection(&snap, &rng, cap, from, tail);
+      AddSyncSection(&snap, &rng, cap, from, tail);
     }
     SnapshotPayloads payloads = SerializeSnapshot(snap);
-    ASSERT_TRUE(payloads.delta);
 
     SnapshotAssembler asm_;
-    ASSERT_TRUE(asm_.BeginDelta(payloads.begin)) << asm_.error();
+    ASSERT_TRUE(asm_.Begin(payloads.begin)) << asm_.error();
     for (const auto& chunk : payloads.chunks) {
       ASSERT_TRUE(asm_.AddChunk(chunk)) << asm_.error();
     }
@@ -395,7 +503,6 @@ TEST(SnapshotCodecTest, DeltaSerializeAssembleRoundTrip) {
     ASSERT_EQ(asm_.state(), SnapshotAssembler::State::kComplete);
 
     const ReplicaSnapshot& out = asm_.snapshot();
-    EXPECT_TRUE(out.is_delta);
     EXPECT_EQ(out.rb_size, snap.rb_size);
     EXPECT_EQ(out.max_ranks, snap.max_ranks);
     EXPECT_EQ(out.cursors, snap.cursors);
@@ -422,40 +529,17 @@ TEST(SnapshotCodecTest, DeltaSerializeAssembleRoundTrip) {
   }
 }
 
-TEST(SnapshotCodecTest, TruncatedDeltaPayloadRejected) {
-  Rng rng(103);
-  ReplicaSnapshot snap = MakeDeltaSnapshot(&rng, 64 * kPageSize, 2);
-  SnapshotPayloads payloads = SerializeSnapshot(snap);
-
-  // One byte short: the variable-section arithmetic no longer adds up.
-  std::vector<uint8_t> short_one = payloads.begin;
-  short_one.pop_back();
-  SnapshotAssembler asm_;
-  EXPECT_FALSE(asm_.BeginDelta(short_one));
-  EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
-
-  // Shorter than the fixed header: rejected before any field is read.
-  std::vector<uint8_t> short_hdr(payloads.begin.begin(), payloads.begin.begin() + 40);
-  asm_.Reset();
-  EXPECT_FALSE(asm_.BeginDelta(short_hdr));
-  EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
-
-  // The untruncated payload still opens fine after Reset.
-  asm_.Reset();
-  EXPECT_TRUE(asm_.BeginDelta(payloads.begin)) << asm_.error();
-}
-
 TEST(SnapshotCodecTest, LapStaleDeltaSyncSliceRejected) {
   Rng rng(107);
   ReplicaSnapshot snap = MakeDeltaSnapshot(&rng, 64 * kPageSize, 2);
   // A 16-slot log with a 20-op slice: the leader wrapped past the replica's
   // cursor after cutting the basis, so slots [from, tail-cap) are gone and the
-  // delta is stale. The joiner must refuse it (the leader then retries full).
+  // checkpoint is stale. The joiner must refuse it.
   uint64_t cap = 16;
-  AddSyncDeltaSection(&snap, &rng, cap, /*from=*/10, /*tail=*/10 + cap + 4);
+  AddSyncSection(&snap, &rng, cap, /*from=*/10, /*tail=*/10 + cap + 4);
   SnapshotPayloads payloads = SerializeSnapshot(snap);
   SnapshotAssembler asm_;
-  EXPECT_FALSE(asm_.BeginDelta(payloads.begin));
+  EXPECT_FALSE(asm_.Begin(payloads.begin));
   EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
   EXPECT_NE(asm_.error().find("wrapped past"), std::string::npos) << asm_.error();
 }
@@ -466,8 +550,157 @@ TEST(SnapshotCodecTest, DeltaFileMapPagesOutOfOrderRejected) {
   snap.file_map_pages = {2, 1, 3};  // Not strictly increasing.
   SnapshotPayloads payloads = SerializeSnapshot(snap);
   SnapshotAssembler asm_;
-  EXPECT_FALSE(asm_.BeginDelta(payloads.begin));
+  EXPECT_FALSE(asm_.Begin(payloads.begin));
   EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
+}
+
+// --- Mirror apply: the reset-generation rules --------------------------------------
+
+ProgramFn WriteLoop(int iterations) {
+  return [iterations](Guest& g) -> GuestTask<void> {
+    int64_t fd = co_await g.Open("/tmp/snap-out", kO_CREAT | kO_RDWR);
+    GuestAddr buf = g.Alloc(64);
+    for (int i = 0; i < iterations; ++i) {
+      co_await g.Compute(Micros(10));
+      std::string line = "line-" + std::to_string(i) + ";";
+      g.Poke(buf, line.data(), line.size());
+      co_await g.Write(static_cast<int>(fd), buf, line.size());
+    }
+    co_await g.Close(static_cast<int>(fd));
+  };
+}
+
+// A live leader/mirror pair: a two-replica set whose replica runs on its own
+// machine (a private RB mirror fed by the transport), paused mid-run so both
+// RBs hold published entries.
+class MirrorApplyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    uint32_t host = w_.net.AddMachine("replica-host");
+    w_.net.SetLink(w_.server_machine, host, LinkParams{50 * kMicrosecond, 0.125});
+    RemonOptions opts;
+    opts.mode = MveeMode::kRemon;
+    opts.replicas = 2;
+    opts.level = PolicyLevel::kNonsocketRw;
+    opts.rb_size = 64 * 1024;
+    opts.max_ranks = 2;
+    opts.machine = w_.server_machine;
+    opts.replica_machines = {w_.server_machine, host};
+    mvee_ = std::make_unique<Remon>(&w_.kernel, opts);
+    mvee_->Launch(WriteLoop(2000), "snap");
+    w_.Run(Millis(3));
+    ASSERT_FALSE(mvee_->finished());
+    ASSERT_TRUE(leader()->rb().valid());
+    ASSERT_TRUE(mirror()->rb().valid());
+  }
+
+  IpMon* leader() const { return mvee_->ipmon(0); }
+  IpMon* mirror() const { return mvee_->ipmon(1); }
+
+  // Ships `snap` through the wire codec and applies it to the mirror.
+  SnapshotApplyResult ShipAndApply(const ReplicaSnapshot& snap) {
+    SnapshotPayloads payloads = SerializeSnapshot(snap);
+    SnapshotAssembler asm_;
+    bool ok = asm_.Begin(payloads.begin);
+    for (const auto& chunk : payloads.chunks) {
+      ok = ok && asm_.AddChunk(chunk);
+    }
+    ok = ok && asm_.End(payloads.end);
+    EXPECT_TRUE(ok) << asm_.error();
+    if (!ok) {
+      return SnapshotApplyResult{};
+    }
+    return ApplySnapshotToMirror(&w_.kernel, mirror(), nullptr, asm_.snapshot(),
+                                 asm_.image());
+  }
+
+  SimWorld w_{11};
+  std::unique_ptr<Remon> mvee_;
+};
+
+// End of the published entry chain of `rank` in `rb`, walking from the data start
+// up to `cursor`; counts the entries it passes.
+uint64_t PublishedEnd(const RbView& rb, int rank, uint64_t cursor, uint64_t* entries) {
+  uint64_t off = rb.RankDataStart(rank);
+  while (off + kRbEntryHeaderSize <= cursor && rb.ReadU32(off + kRbOffState) != kRbEmpty) {
+    off += rb.ReadU64(off + kRbOffTotalSize);
+    ++*entries;
+  }
+  return off;
+}
+
+std::vector<uint8_t> ReadRb(const RbView& rb, uint64_t off, uint64_t len) {
+  std::vector<uint8_t> bytes(len);
+  rb.ReadBytes(off, bytes.data(), len);
+  return bytes;
+}
+
+TEST_F(MirrorApplyTest, EmptyBasisRebuildsMirrorFromOlderGeneration) {
+  ReplicaSnapshot snap = CaptureLeaderSnapshot(leader(), mvee_->ghumvee());
+  // The mirror is one reset round behind the checkpoint.
+  snap.reset_generation = mirror()->rb_resets() + 1;
+  const RbView& lrb = leader()->rb();
+  RbView mrb = mirror()->rb();
+  std::vector<uint64_t> ends;
+  uint64_t entries = 0;
+  for (int r = 0; r < snap.max_ranks; ++r) {
+    ends.push_back(PublishedEnd(lrb, r, snap.cursors[static_cast<size_t>(r)], &entries));
+    // Stale pre-reset bytes past the published prefix (the resume entry's state
+    // and waiter words excepted): the apply must scrub them.
+    uint64_t stale = ends.back() + 8;
+    std::vector<uint8_t> junk(lrb.RankDataEnd(r) - stale, 0xa5);
+    mrb.WriteBytes(stale, junk.data(), junk.size());
+  }
+  ASSERT_GT(entries, 0u);
+
+  SnapshotApplyResult res = ShipAndApply(snap);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.entries_restored, entries);
+
+  EXPECT_EQ(ReadRb(mrb, 0, kRbGlobalHeaderSize), ReadRb(lrb, 0, kRbGlobalHeaderSize));
+  for (int r = 0; r < snap.max_ranks; ++r) {
+    uint64_t start = lrb.RankStart(r);
+    uint64_t end = ends[static_cast<size_t>(r)];
+    // Headers and published entries match the leader byte for byte, except each
+    // entry's waiter word, which belongs to the mirror's own consumers.
+    std::vector<uint8_t> want = ReadRb(lrb, start, end - start);
+    std::vector<uint8_t> got = ReadRb(mrb, start, end - start);
+    for (uint64_t off = lrb.RankDataStart(r); off < end;
+         off += lrb.ReadU64(off + kRbOffTotalSize)) {
+      std::memset(want.data() + (off - start) + kRbOffWaiters, 0, 4);
+      std::memset(got.data() + (off - start) + kRbOffWaiters, 0, 4);
+    }
+    EXPECT_EQ(got, want) << "rank " << r;
+    // The stale tail reads as the leader's zeros.
+    EXPECT_EQ(mrb.ReadU32(end + kRbOffState), lrb.ReadU32(end + kRbOffState));
+    std::vector<uint8_t> tail = ReadRb(mrb, end + 8, lrb.RankDataEnd(r) - end - 8);
+    EXPECT_EQ(tail, std::vector<uint8_t>(tail.size(), 0)) << "rank " << r;
+  }
+}
+
+TEST_F(MirrorApplyTest, NonEmptyBasisFromOtherGenerationRefused) {
+  RbDeltaBasis basis;
+  basis.valid = true;
+  basis.reset_generation = leader()->rb_resets();
+  for (int r = 0; r < leader()->rb().max_ranks(); ++r) {
+    basis.from_off.push_back(leader()->rb_cursor(r));
+  }
+  ReplicaSnapshot snap =
+      CaptureLeaderSnapshot(leader(), mvee_->ghumvee(), nullptr, 0, basis);
+  ASSERT_GT(snap.delta_from[0], leader()->rb().RankDataStart(0));
+  snap.reset_generation = mirror()->rb_resets() + 1;
+
+  const RbView& mrb = mirror()->rb();
+  std::vector<uint8_t> before = ReadRb(mrb, 0, mrb.size());
+  SnapshotApplyResult res = ShipAndApply(snap);
+  EXPECT_FALSE(res.ok);
+  EXPECT_STREQ(res.error, "delta basis from a different RB reset generation");
+  EXPECT_EQ(ReadRb(mrb, 0, mrb.size()), before) << "a refused join must not write";
+
+  // The same slice at the mirror's own generation applies.
+  snap.reset_generation = mirror()->rb_resets();
+  SnapshotApplyResult same = ShipAndApply(snap);
+  EXPECT_TRUE(same.ok) << same.error;
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ TEST_F(MetaTest, EstimateCoversActualFootprint) {
                              SyscallRequest{Sys::kRead, {3, buf_a_, 4096, 0, 0, 0}},
                              SyscallRequest{Sys::kFstat, {3, buf_a_, 0, 0, 0, 0}},
                              SyscallRequest{Sys::kGettimeofday, {buf_a_, 0, 0, 0, 0, 0}}}) {
-    uint64_t estimate = EstimateDataSize(a_, req);
+    uint64_t estimate = EstimateDataSize(req);
     uint64_t sig = SerializeCallSignature(a_, req).size();
     uint64_t out = 0;
     for (const OutRegion& r : CollectOutRegions(a_, req, 16)) {
@@ -207,8 +207,8 @@ TEST_F(MetaTest, CalcsizeAgreesAcrossReplicasForRandomizedArgs) {
         master.args[a] = v;
         slave.args[a] = d.in[a].kind == In::kValue ? v : (rng() | 0x7f00'0000'0000ULL);
       }
-      uint64_t m = EstimateDataSize(a_, master);
-      uint64_t s = EstimateDataSize(b_, slave);
+      uint64_t m = EstimateDataSize(master);
+      uint64_t s = EstimateDataSize(slave);
       EXPECT_EQ(m, s) << SysName(nr);
       EXPECT_EQ(RbEntryOps::EntrySize(0, m + 16), RbEntryOps::EntrySize(0, s + 16))
           << SysName(nr);

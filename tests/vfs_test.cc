@@ -135,7 +135,7 @@ TEST(FilesystemTest, SpecialFileSnapshotsGenerator) {
 TEST(RegularHandleTest, ReadWriteAtOffsets) {
   Filesystem fs;
   auto inode = fs.CreateFile("/tmp/f");
-  RegularHandle h(inode, &fs);
+  RegularHandle h(inode);
   EXPECT_EQ(h.Write("abcdef", 6, 0), 6);
   EXPECT_EQ(h.Size(), 6);
   char buf[4] = {0};
