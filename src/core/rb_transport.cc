@@ -123,7 +123,8 @@ RbTransport::Remote* RbTransport::ReviveSlot(int replica_index, uint32_t machine
   return slot;
 }
 
-void RbTransport::EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snapshot) {
+void RbTransport::EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snapshot,
+                                        bool delta) {
   // The checkpoint leads the stream: every data frame published from here on
   // queues behind it, so the mirror the replacement reconstructs is the leader's
   // RB at the capture point plus, in order, everything after it. Snapshot frames
@@ -139,6 +140,9 @@ void RbTransport::EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snaps
     ++stats.rb_snapshot_frames_sent;
     stats.rb_frame_bytes_sent += frame.size();
     stats.rb_snapshot_bytes_sent += frame.size();
+    if (delta) {
+      stats.rb_snapshot_delta_bytes_sent += frame.size();
+    }
     RbEpochStats& row = stats.EpochRow(epoch_);
     ++row.frames_sent;
     ++row.snapshot_frames;
@@ -162,9 +166,9 @@ bool RbTransport::SnapshotInflight() const {
 }
 
 void RbTransport::AddReplacement(int replica_index, uint32_t machine, uint16_t port,
-                                 const SnapshotPayloads& snapshot) {
+                                 const SnapshotPayloads& snapshot, bool delta) {
   Remote* slot = ReviveSlot(replica_index, machine, port);
-  EnqueueSnapshotFrames(*slot, snapshot);
+  EnqueueSnapshotFrames(*slot, snapshot, delta);
   ++kernel_->stats().rb_replica_respawns;
   Pump(*slot);
 }
@@ -179,19 +183,34 @@ void RbTransport::AddReplacementAwaitingAttest(int replica_index, uint32_t machi
   Pump(*slot);
 }
 
-void RbTransport::EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot) {
+RbTransport::Remote* RbTransport::AttestedReplacement(int replica_index) {
   for (auto& r : remotes_) {
-    if (r->replica_index != replica_index) {
-      continue;
+    if (r->replica_index == replica_index) {
+      // The link may have died (or re-attested) between attest and checkpoint.
+      return r->dead || !r->attested || !r->awaiting_snapshot ? nullptr : r.get();
     }
-    if (r->dead || !r->attested || !r->awaiting_snapshot) {
-      return;  // The link died (or re-attested) between attest and checkpoint.
-    }
-    r->awaiting_snapshot = false;
-    EnqueueSnapshotFrames(*r, snapshot);
-    Pump(*r);
+  }
+  return nullptr;
+}
+
+void RbTransport::EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot,
+                                  bool delta) {
+  Remote* r = AttestedReplacement(replica_index);
+  if (r == nullptr) {
     return;
   }
+  r->awaiting_snapshot = false;
+  EnqueueSnapshotFrames(*r, snapshot, delta);
+  Pump(*r);
+}
+
+void RbTransport::RefuseAttestedJoin(int replica_index, const char* reason) {
+  Remote* r = AttestedReplacement(replica_index);
+  if (r == nullptr) {
+    return;
+  }
+  ++kernel_->stats().rb_auth_join_rejects;
+  MarkDead(*r, reason);
 }
 
 void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries) {
@@ -612,7 +631,8 @@ void RemoteSyncAgent::OnListenerPoll() {
     std::vector<uint8_t> attest = RbWireCodec::EncodeJoinAttest(
         join_epoch_ > 0 ? join_epoch_ : 1,
         static_cast<uint32_t>(mon_->config().replica_index), config_digest_,
-        sync_agent_ != nullptr ? sync_agent_->read_cursor() : 0,
+        attest_cursor_override_.value_or(
+            sync_agent_ != nullptr ? sync_agent_->read_cursor() : 0),
         machine_);  // v5: the placement this agent actually serves.
     auth_->SealFrame(&attest, RbAuthDirection::kReplicaToLeader);
     ++kernel_->stats().rb_auth_frames_sealed;

@@ -66,6 +66,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/rb_auth.h"
@@ -124,8 +125,10 @@ class RbTransport {
   // Revives a dead remote's slot as a replacement replica joining at the current
   // (post-bump) epoch: fresh connection, fresh per-connection sequence space, and
   // the serialized leader checkpoint enqueued ahead of all future data frames.
+  // `delta` marks a checkpoint cut against a non-empty basis: its framed bytes
+  // also count in rb_snapshot_delta_bytes_sent.
   void AddReplacement(int replica_index, uint32_t machine, uint16_t port,
-                      const SnapshotPayloads& snapshot);
+                      const SnapshotPayloads& snapshot, bool delta);
 
   // Authenticated replacement (requires Options::auth): revives the slot but
   // ships nothing until the replacement presents a verified join attestation.
@@ -135,7 +138,13 @@ class RbTransport {
 
   // Enqueues the leader checkpoint for an attested replacement (clears its
   // awaiting-snapshot gate; data frames published afterwards queue behind it).
-  void EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot);
+  // `delta` as for AddReplacement.
+  void EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot, bool delta);
+
+  // Refuses an attested replacement whose attestation verified but whose claims
+  // the front end cannot serve (a sync-log cursor outside the leader's log): the
+  // slot dies like one with a digest mismatch, counted in rb_auth_join_rejects.
+  void RefuseAttestedJoin(int replica_index, const char* reason);
 
   // Invoked from inside the pump when a replacement's attestation verifies, with
   // the replica index and the sync-log replay cursor it attested. Implementations
@@ -191,7 +200,7 @@ class RbTransport {
   }
 
   // What the leader knows `replica_index`'s mirror already holds, folded from its
-  // cumulative acks: the horizon Remon::MakeReseedPayloads cuts a checkpoint
+  // cumulative acks: the horizon Remon::ReseedBasis cuts a checkpoint
   // against. Survives death on purpose — it describes the mirror the
   // dead replica leaves behind, which is exactly what its replacement resumes
   // from. Invalid (default) for a replica this transport never served.
@@ -267,7 +276,10 @@ class RbTransport {
   // Tears down the dead slot's socket and revives it on a fresh connection with a
   // fresh per-connection sequence space (shared by both replacement flavors).
   Remote* ReviveSlot(int replica_index, uint32_t machine, uint16_t port);
-  void EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snapshot);
+  void EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snapshot, bool delta);
+  // The slot of an attested replacement still waiting for its checkpoint, or
+  // nullptr when there is none (never attested, already served, or dead).
+  Remote* AttestedReplacement(int replica_index);
   // Seals `frame` when authentication is on (no-op otherwise).
   void Seal(std::vector<uint8_t>* frame);
   // Verifies a join attestation; returns false when the link was torn.
@@ -356,6 +368,9 @@ class RemoteSyncAgent {
   // Test seam: attest a different digest than the genuine one (mismatched-config
   // joiner).
   void OverrideAttestDigestForTest(uint64_t digest) { config_digest_ = digest; }
+  // Test seam: attest this sync-log replay cursor instead of the replica's own
+  // (a compromised joiner lying about how far it replayed).
+  void OverrideAttestCursorForTest(uint64_t cursor) { attest_cursor_override_ = cursor; }
 
  private:
   void OnListenerPoll();
@@ -405,6 +420,7 @@ class RemoteSyncAgent {
   // updates re-announce the newest applied frame.
   const RbAuthContext* auth_ = nullptr;
   uint64_t config_digest_ = 0;
+  std::optional<uint64_t> attest_cursor_override_;
   uint32_t max_epoch_seen_ = 0;
   uint64_t max_data_seq_ = 0;
   uint32_t last_ack_epoch_ = 0;

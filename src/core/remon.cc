@@ -343,8 +343,19 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
             if (ghumvee_ == nullptr || ghumvee_->shutdown_requested() || finished()) {
               return;
             }
-            transport_->EnqueueSnapshot(idx,
-                                        MakeReseedPayloads(idx, attest_cursor));
+            // The attested cursor is the peer's word, checked here at the point of
+            // use: the checkpoint can only resume a replay cursor inside the
+            // leader's occupied log lap. A claim outside it refuses the join.
+            const SyncAgent* sync_master = sync_agent(0);
+            if (sync_master != nullptr && sync_master->log_valid() &&
+                !sync_master->CursorInLap(attest_cursor)) {
+              transport_->RefuseAttestedJoin(
+                  idx, "join attestation refused (sync cursor outside the log lap)");
+              return;
+            }
+            RbDeltaBasis basis = ReseedBasis(idx);
+            transport_->EnqueueSnapshot(idx, CutCheckpoint(attest_cursor, basis),
+                                        basis.valid);
           });
       pending_respawns_.push_back(*id_cell);
     });
@@ -442,40 +453,40 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
     // so the checkpoint's sync image ends exactly where the first post-snapshot
     // kSyncLog frame begins.
     SyncAgent* replica_agent = sync_agent(replica_index);
+    RbDeltaBasis basis = ReseedBasis(replica_index);
     transport_->AddReplacement(
         replica_index, machine, port,
-        MakeReseedPayloads(replica_index,
-                           replica_agent != nullptr ? replica_agent->read_cursor()
-                                                    : 0));
+        CutCheckpoint(replica_agent != nullptr ? replica_agent->read_cursor() : 0, basis),
+        basis.valid);
   }
   remote_agents_[static_cast<size_t>(replica_index)] = std::move(agent);
   ++respawns_;
   return true;
 }
 
-SnapshotPayloads Remon::MakeReseedPayloads(int replica_index,
-                                           uint64_t sync_read_cursor) {
-  IpMon* master = ipmons_[0].get();
+RbDeltaBasis Remon::ReseedBasis(int replica_index) {
   // The empty basis (--reseed=full, and the fallback) ships the whole leader
   // state; a usable acked horizon ships only what the replacement lacks. Usable
   // means it still describes the leader's current RB: a reset in between rebased
-  // every offset. The sync log needs no check of its own — the wrap gate froze
-  // the dead replica's cursor, so the slice past it always fits one lap.
-  RbDeltaBasis basis;
-  if (options_.reseed_mode == ReseedMode::kDelta && transport_ != nullptr) {
-    basis = transport_->DeltaBasisFor(replica_index);
-    if (!basis.valid || basis.reset_generation != master->rb_resets()) {
-      basis = RbDeltaBasis{};
-      ++kernel_->stats().rb_snapshot_full_fallbacks;
-    }
+  // every offset. The sync log needs no check of its own: the replay cursor is
+  // in the occupied lap (the wrap gate froze the dead replica's cursor, and an
+  // attested one was checked), so the slice past it always fits one lap.
+  if (options_.reseed_mode != ReseedMode::kDelta || transport_ == nullptr) {
+    return RbDeltaBasis{};
   }
-  SnapshotPayloads payloads = SerializeSnapshot(CaptureLeaderSnapshot(
-      master, ghumvee_.get(), sync_agent(0), sync_read_cursor, basis));
-  if (basis.valid) {
-    ++kernel_->stats().rb_snapshot_delta_captures;
-    kernel_->stats().rb_snapshot_delta_bytes_sent += payloads.wire_bytes();
+  RbDeltaBasis basis = transport_->DeltaBasisFor(replica_index);
+  if (!basis.valid || basis.reset_generation != ipmons_[0]->rb_resets()) {
+    ++kernel_->stats().rb_snapshot_full_fallbacks;
+    return RbDeltaBasis{};
   }
-  return payloads;
+  ++kernel_->stats().rb_snapshot_delta_captures;
+  return basis;
+}
+
+SnapshotPayloads Remon::CutCheckpoint(uint64_t sync_read_cursor,
+                                      const RbDeltaBasis& basis) {
+  return SerializeSnapshot(CaptureLeaderSnapshot(ipmons_[0].get(), ghumvee_.get(),
+                                                 sync_agent(0), sync_read_cursor, basis));
 }
 
 void Remon::DecayRespawnBudget(int replica_index) {

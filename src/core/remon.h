@@ -35,7 +35,7 @@ enum class MveeMode { kNative, kGhumveeOnly, kRemon, kVaranLike };
 
 std::string_view MveeModeName(MveeMode mode);
 
-// How a replacement replica's checkpoint is cut (Remon::MakeReseedPayloads):
+// How a replacement replica's checkpoint is cut (Remon::ReseedBasis):
 // kDelta resumes from the dead replica's ack-folded horizon when that basis is
 // usable and falls back to the empty basis otherwise; kFull always cuts against
 // the empty basis, shipping the whole leader state (--reseed=full, the ablation
@@ -156,11 +156,12 @@ class Remon {
   // first (no death event, no respawn-budget charge), and the join attestation
   // must present the new placement. -1 keeps the current placement.
   bool SpawnReplacement(int replica_index, int target_machine = -1);
-  // The checkpoint payloads for `replica_index`'s replacement: cut against the
+  // The basis `replica_index`'s replacement checkpoint is cut against: the
   // transport's ack-folded basis when reseed_mode allows and the basis is usable
-  // (same RB reset generation), else against the empty basis. Exposed so tests
+  // (same RB reset generation), else the empty basis. Counts the decision in
+  // rb_snapshot_delta_captures / rb_snapshot_full_fallbacks. Exposed so tests
   // and benches can exercise the decision directly.
-  SnapshotPayloads MakeReseedPayloads(int replica_index, uint64_t sync_read_cursor);
+  RbDeltaBasis ReseedBasis(int replica_index);
   // Replacement attempts launched so far (joins completed are per-agent: see
   // RemoteSyncAgent::joins()).
   uint64_t respawns() const { return respawns_; }
@@ -238,6 +239,9 @@ class Remon {
   // Refunds respawn attempts earned by healthy time since the last charge
   // (respawn_budget_decay per attempt). Called before every cap check.
   void DecayRespawnBudget(int replica_index);
+  // Serializes a leader checkpoint against `basis` for a replacement whose sync
+  // replay resumes at `sync_read_cursor`.
+  SnapshotPayloads CutCheckpoint(uint64_t sync_read_cursor, const RbDeltaBasis& basis);
 };
 
 }  // namespace remon

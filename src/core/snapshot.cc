@@ -237,10 +237,9 @@ ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
                     : snap.sync_tail - std::min(snap.sync_tail, sync_master->capacity());
     // The wrap gate (SyncAgent::MinPeerReadCursor) freezes a dead replica's
     // cursor, so the leader never overwrote a slot the replacement has yet to
-    // replay: the slice always reaches back to the cursor.
-    REMON_CHECK_MSG(snap.sync_from <= sync_read_cursor &&
-                        sync_read_cursor <= snap.sync_tail &&
-                        snap.sync_tail - snap.sync_from <= sync_master->capacity(),
+    // replay: the slice always reaches back to the cursor. A cursor that arrived
+    // in a join attestation was checked against the lap before the capture.
+    REMON_CHECK_MSG(sync_master->CursorInLap(sync_read_cursor),
                     "checkpoint after the sync log wrapped past the replica cursor");
     snap.sync_image = sync_master->CaptureLogDelta(snap.sync_from);
   }
@@ -248,14 +247,6 @@ ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
 }
 
 // --- Wire payloads -----------------------------------------------------------------
-
-uint64_t SnapshotPayloads::wire_bytes() const {
-  uint64_t n = 2 * kRbWireHeaderSize + begin.size() + end.size();
-  for (const std::vector<uint8_t>& chunk : chunks) {
-    n += kRbWireHeaderSize + chunk.size();
-  }
-  return n;
-}
 
 SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   SnapshotPayloads out;

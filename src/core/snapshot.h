@@ -152,7 +152,7 @@ struct RbDeltaBasis {
 // and `sync_read_cursor` the replay cursor of the replica being re-seeded — in a
 // distributed deployment the cursor arrives with the join request; here the
 // front end reads it off the replica's agent. A valid basis must belong to the
-// current reset generation; Remon::MakeReseedPayloads owns that decision.
+// current reset generation; Remon::ReseedBasis owns that decision.
 ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
                                       const SyncAgent* sync_master = nullptr,
                                       uint64_t sync_read_cursor = 0,
@@ -168,9 +168,6 @@ struct SnapshotPayloads {
   std::vector<uint8_t> begin;                // kSnapshotDelta payload.
   std::vector<std::vector<uint8_t>> chunks;  // One kSnapshotChunk payload each.
   std::vector<uint8_t> end;                  // kSnapshotEnd payload.
-
-  // Framed wire bytes of the whole checkpoint (one frame header per payload).
-  uint64_t wire_bytes() const;
 };
 
 // Serializes a snapshot into the opener/Chunk/End payloads (layouts in

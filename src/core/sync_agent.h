@@ -150,6 +150,13 @@ class SyncAgent {
   std::vector<uint8_t> CaptureLogDelta(uint64_t from) const;
   // The absolute tail as published in this replica's log view.
   uint64_t tail() const;
+  // True when `cursor` lies in the occupied lap [tail - min(tail, capacity),
+  // tail]: every op from it to the tail is still in the log, so a checkpoint can
+  // resume replay there.
+  bool CursorInLap(uint64_t cursor) const {
+    uint64_t t = tail();
+    return cursor <= t && t - cursor <= capacity();
+  }
 
   // Restores a leader checkpoint's seq-ordered slice [sync_from, snap_tail), cut
   // by CaptureLogDelta, into this replica's mirror: validates geometry, the

@@ -1032,7 +1032,8 @@ SyncFuzzOutcome RunSyncFuzz(
     bool remote_last_replica = false, TimeNs kill_remote_at = 0,
     const std::function<void(Remon&, SimWorld&)>& post_run = nullptr,
     DurationNs link_latency = 50 * kMicrosecond, int max_inflight_frames = 8,
-    bool rb_auth = false, ReseedMode reseed_mode = ReseedMode::kDelta) {
+    bool rb_auth = false, ReseedMode reseed_mode = ReseedMode::kDelta,
+    const std::function<void(Remon&, SimWorld&)>& pre_run = nullptr) {
   SimWorld w(seed);
   RemonOptions opts;
   opts.mode = MveeMode::kRemon;
@@ -1067,6 +1068,9 @@ SyncFuzzOutcome RunSyncFuzz(
         agent->Shutdown();
       }
     });
+  }
+  if (pre_run) {
+    pre_run(mvee, w);
   }
   w.Run();
   SyncFuzzOutcome out;
@@ -1311,6 +1315,56 @@ TEST_P(ReseedSyncLogTest, ReseedMidFuzzCarriesSyncLog) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, ReseedSyncLogTest,
                          ::testing::Values(ReseedMode::kDelta, ReseedMode::kFull));
+
+// A compromised replacement lies about its sync-log replay cursor in the join
+// attestation. A checkpoint can only resume a cursor inside the leader's occupied
+// log lap, so a claim behind the lap (0 after the log wrapped) or past the tail
+// is refused like a digest mismatch: no checkpoint leaves the leader, the leader
+// keeps running, and the spent respawn budget surfaces as a divergence report.
+TEST(SyncLockstepTest, ForgedAttestedSyncCursorJoinRefused) {
+  enum class Forge { kBehindLap, kPastTail };
+  // Late enough that the log has wrapped and the leader sits on the wrap gate
+  // (the tail holds still) while the replacement joins.
+  const TimeNs kKillAt = Micros(400);
+  for (Forge forge : {Forge::kBehindLap, Forge::kPastTail}) {
+    for (uint64_t seed : {19ull, 131ull, 333ull}) {
+      FuzzShape shape = ShapeFor(seed);
+      shape.ops += 12;
+      // Poison every replacement generation's attestation from the kill on; the
+      // ticks are denser than any respawn-to-accept window.
+      auto forge_cursors = [forge](Remon& mvee, SimWorld& w) {
+        for (int i = 0; i < 2000; ++i) {
+          w.sim.queue().ScheduleAt(kKillAt + 5 * kMicrosecond * i, [&mvee, forge] {
+            RemoteSyncAgent* agent = mvee.remote_agent(2);
+            if (agent != nullptr) {
+              agent->OverrideAttestCursorForTest(
+                  forge == Forge::kBehindLap ? 0 : mvee.sync_agent(0)->tail() + 1);
+            }
+          });
+        }
+      };
+      SimStats stats;
+      uint64_t capacity = 0;
+      SyncFuzzOutcome out = RunSyncFuzz(
+          seed, shape, 3, 8, RbBatchPolicy::kAdaptive, /*remote_last_replica=*/true,
+          /*kill_remote_at=*/kKillAt,
+          [&stats, &capacity](Remon& mvee, SimWorld& w) {
+            stats = w.sim.stats();
+            capacity = mvee.sync_agent(0)->capacity();
+          },
+          50 * kMicrosecond, 8, /*rb_auth=*/true, ReseedMode::kDelta, forge_cursors);
+      ASSERT_GE(stats.rb_remote_deaths, 1u) << "seed " << seed;
+      if (forge == Forge::kBehindLap) {
+        // Cursor 0 is only behind the lap once the log has wrapped.
+        ASSERT_GT(out.master_tail, capacity) << "seed " << seed;
+      }
+      EXPECT_GE(stats.rb_auth_join_rejects, 1u) << "seed " << seed;
+      EXPECT_EQ(stats.rb_snapshot_frames_sent, 0u) << "seed " << seed;
+      EXPECT_EQ(stats.rb_replica_joins, 0u) << "seed " << seed;
+      EXPECT_FALSE(out.ok) << "seed " << seed;
+    }
+  }
+}
 
 // Epoch regression on data frames: after a re-seed, a frame stamped with a
 // pre-join epoch is a replay by definition — it is rejected, the mirror stays
