@@ -421,20 +421,12 @@ void Ghumvee::HandleRbFlush(int rank, RankState& rs) {
     }
   }
   if (rb_migration_) {
-    // Safe only when every replica thread is stopped here; with multiple ranks other
-    // threads may be mid-RB-operation, so restrict to single-threaded replica sets.
-    bool all_single = true;
-    for (Process* p : replicas_) {
-      if (Kernel::LiveThreadCount(p) > 1) {
-        all_single = false;
-        break;
-      }
-    }
-    if (all_single) {
-      for (IpMon* mon : ipmons_) {
-        if (mon != nullptr) {
-          mon->MigrateRb();
-        }
+    // Safe with other ranks mid-RB-operation too: IP-MON addresses the RB by
+    // offset through its current view, and RB waiters park on queues keyed by the
+    // backing frame, which the move keeps.
+    for (IpMon* mon : ipmons_) {
+      if (mon != nullptr) {
+        mon->MigrateRb();
       }
     }
   }

@@ -775,7 +775,7 @@ GuestAddr IpMon::MigrateRb() {
   mem.Unmap(rb_.base(), rb_.size());
   rb_ = RbView(process_, fresh, rb_.size(), config_.max_ranks);
   // Cursors are offsets, not addresses: they survive the move unchanged.
-  ++rb_migrations_;
+  ++kernel_->stats().rb_migrations;
   return fresh;
 }
 

@@ -141,10 +141,11 @@ class IpMon {
 
   // The paper's §4 extension: IK-B periodically moves the RB to a fresh virtual
   // address by remapping the replica's page-table entries, shrinking the window for
-  // address-guessing attacks. Invoked by GHUMVEE at flush points while the replica
-  // is fully stopped. Returns the new base (0 if migration was not possible).
+  // address-guessing attacks. Invoked by GHUMVEE at every RB reset round, with the
+  // flushing rank stopped (other ranks may be mid-call: see HandleRbFlush).
+  // Returns the new base (0 if migration was not possible). Counted in
+  // SimStats::rb_migrations.
   GuestAddr MigrateRb();
-  uint64_t rb_migrations() const { return rb_migrations_; }
 
   // Live FileMap growth (FileMap::Grow): remaps the grown map into this replica
   // at a fresh range with the same page-table epoch-bump idiom MigrateRb uses, so
@@ -286,7 +287,6 @@ class IpMon {
 
   const char* forward_reason_ = "?";
   uint64_t rb_resets_ = 0;
-  uint64_t rb_migrations_ = 0;
   uint64_t mismatches_tolerated_ = 0;  // VARAN-like mode tolerates small mismatches.
   std::vector<uint64_t> varan_flush_gen_;  // Per-rank flush-barrier generation.
 };

@@ -8,6 +8,16 @@
 
 namespace remon {
 
+namespace {
+
+// Death-to-replacement delay (models provisioning the replacement instance).
+// Must stay well under GHUMVEE's lockstep watchdog: peers parked at a monitored
+// barrier wait for the rejoiner, and the watchdog outlasting the respawn is what
+// makes recovery invisible to them.
+constexpr DurationNs kRespawnDelay = 200 * kMicrosecond;
+
+}  // namespace
+
 std::string_view MveeModeName(MveeMode mode) {
   switch (mode) {
     case MveeMode::kNative: return "native";
@@ -37,9 +47,7 @@ Remon::Remon(Kernel* kernel, const RemonOptions& options)
     : kernel_(kernel),
       options_(options),
       layout_rng_(kernel->sim()->rng().Fork()),
-      planner_(&layout_rng_, LayoutOptions{options.aslr, options.dcl,
-                                           /*code_size=*/2 * 1024 * 1024,
-                                           /*ipmon_size=*/256 * 1024}) {
+      planner_(&layout_rng_) {
   REMON_CHECK(options_.replicas >= 1);
 }
 
@@ -309,7 +317,7 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
         // that never ran (EventQueue trusts callers on that).
         auto id_cell = std::make_shared<EventQueue::EventId>(0);
         *id_cell = kernel_->sim()->queue().ScheduleAfter(
-            options_.respawn_delay, [this, idx, id_cell] {
+            kRespawnDelay, [this, idx, id_cell] {
               pending_respawns_.erase(std::remove(pending_respawns_.begin(),
                                                   pending_respawns_.end(), *id_cell),
                                       pending_respawns_.end());

@@ -49,8 +49,6 @@ struct RemonOptions {
   TemporalPolicy temporal;
   uint64_t rb_size = 16 * 1024 * 1024;
   int max_ranks = 16;
-  bool aslr = true;
-  bool dcl = true;
   uint32_t machine = 0;
   // Cross-machine replica sets: the machine each replica runs on, index-aligned
   // with the replica set. Empty = every replica on `machine`. When set, entry 0
@@ -60,16 +58,15 @@ struct RemonOptions {
   std::vector<uint32_t> replica_machines;
   // Unacked RB frames allowed per remote link before the leader's flush points
   // stall (the slow-link backpressure bound; also feeds the adaptive window).
+  // Barrier/lock-dominated compute flushes tiny frames at every liveness point,
+  // so this shallow default throttles a remote placement to the ack round-trip;
+  // the compute-suite benches raise it and let the sync-log wrap gate (sized by
+  // sync_log_size) bound the replay lag instead.
   int rb_max_inflight_frames = 8;
   // Replica re-seed: when a remote replica's link dies, checkpoint the leader
   // (src/core/snapshot.h) and attach a replacement at the post-bump epoch instead
   // of reporting divergence. The replica set survives replica loss.
   bool respawn_dead_replicas = false;
-  // Death-to-replacement delay (models provisioning the replacement instance).
-  // Must stay well under GHUMVEE's lockstep watchdog: peers parked at a monitored
-  // barrier wait for the rejoiner, and the watchdog outlasting the respawn is what
-  // makes recovery invisible to them.
-  DurationNs respawn_delay = 200 * kMicrosecond;
   // A replica that keeps failing its join is divergent, not unlucky: attempts
   // beyond this cap fall back to the divergence report.
   int max_respawns_per_replica = 3;

@@ -32,29 +32,22 @@ struct World {
   uint32_t client_machine;
 };
 
-RemonOptions OptionsFor(const RunConfig& config, double mem_intensity,
+// Slices the MVEE options out of `config` and fills in what only the harness
+// knows: the world's leader machine and the workload's memory pressure. Machine
+// ids do not exist before the world does, so a caller-set one is a bug, not a
+// setting to overwrite silently.
+RemonOptions OptionsFor(const World& w, const RunConfig& config, double mem_intensity,
                         bool multithreaded) {
-  RemonOptions opts;
-  opts.mode = config.mode;
-  opts.replicas = config.replicas;
-  opts.level = config.level;
-  opts.temporal = config.temporal;
-  opts.rb_size = config.rb_size;
-  opts.wait_mode = config.wait_mode;
-  opts.rb_batch_max = config.rb_batch_max;
-  opts.rb_batch_policy = config.rb_batch_policy;
+  REMON_CHECK_MSG(config.machine == 0 && config.replica_machines.empty() &&
+                      config.respawn_target_machine == -1,
+                  "set RunConfig::placement/respawn_target, not machine ids");
+  RemonOptions opts = config;
+  opts.machine = w.server_machine;
   opts.mem_intensity = mem_intensity;
   // Suite workloads are race-free by construction; multi-threaded servers opt in
   // (their pool workers then serialize racy accept-side bookkeeping through the
   // agent). Single-threaded programs never consult the agent.
   opts.use_sync_agent = config.use_sync_agent && multithreaded;
-  opts.sync_log_size = config.sync_log_size;
-  opts.rb_max_inflight_frames = config.rb_max_inflight_frames;
-  opts.respawn_dead_replicas = config.respawn_dead_replicas;
-  opts.respawn_budget_decay = config.respawn_budget_decay;
-  opts.reseed_mode = config.reseed_mode;
-  opts.rb_auth = config.rb_auth;
-  opts.file_map_pages = config.file_map_pages;
   return opts;
 }
 
@@ -91,10 +84,9 @@ void ArmRemoteKill(World* w, const RunConfig& config, Remon* mvee) {
 
 // Materializes the RunConfig placement spec: adds one machine per distinct
 // replica-host index, links each to the leader with the configured RB link
-// parameters, and fills RemonOptions::replica_machines. Native runs (and empty
-// placements) stay all-local.
+// parameters, and fills RemonOptions::replica_machines and
+// respawn_target_machine. Native runs (and empty placements) stay all-local.
 void ApplyPlacement(World* w, const RunConfig& config, RemonOptions* opts) {
-  opts->machine = w->server_machine;
   if (config.placement.empty() || config.mode != MveeMode::kRemon) {
     return;
   }
@@ -132,7 +124,7 @@ void ApplyPlacement(World* w, const RunConfig& config, RemonOptions* opts) {
 
 SuiteResult RunSuiteWorkload(const WorkloadSpec& spec, const RunConfig& config) {
   World w(config);
-  RemonOptions opts = OptionsFor(config, spec.mem_intensity, spec.threads > 1);
+  RemonOptions opts = OptionsFor(w, config, spec.mem_intensity, spec.threads > 1);
   ApplyPlacement(&w, config, &opts);
   Remon mvee(&w.kernel, opts);
   mvee.Launch(SuiteProgram(spec), spec.name);
@@ -164,7 +156,7 @@ ServerResult RunServerBench(const ServerSpec& server, const ClientSpec& client_s
   World w(config);
   w.net.SetLink(w.server_machine, w.client_machine, link);
 
-  RemonOptions opts = OptionsFor(config, server.mem_intensity, server.workers > 1);
+  RemonOptions opts = OptionsFor(w, config, server.mem_intensity, server.workers > 1);
   ApplyPlacement(&w, config, &opts);
   Remon mvee(&w.kernel, opts);
   mvee.Launch(ServerProgram(server), server.name);
@@ -221,23 +213,10 @@ ScaleoutResult RunScaleout(const ScaleoutSpec& spec, const RunConfig& config) {
   for (const ScaleoutTierSpec& t : spec.tiers) {
     multithreaded |= t.server.workers > 1;
   }
-  RemonOptions opts = OptionsFor(config, mem, multithreaded);
   // Per-shard machines are the fleet's job; the cross-machine placement spec
   // applies to single-set runs only.
-  opts.replica_machines.clear();
-
-  std::vector<FleetTierSpec> tiers;
-  for (const ScaleoutTierSpec& t : spec.tiers) {
-    FleetTierSpec ft;
-    ft.name = t.name;
-    ft.port = t.port;
-    ft.initial_shards = t.initial_shards;
-    ft.min_shards = t.min_shards;
-    ft.max_shards = t.max_shards;
-    ft.policy = t.policy;
-    ft.remote_replicas = t.remote_replicas;
-    tiers.push_back(ft);
-  }
+  RemonOptions opts = OptionsFor(w, config, mem, multithreaded);
+  std::vector<FleetTierSpec> tiers(spec.tiers.begin(), spec.tiers.end());
   // Shard body factory: stamp the tier's server template with per-shard name
   // (unique access-log paths on the shared filesystem) and the upstream VIP.
   auto tier_specs = spec.tiers;

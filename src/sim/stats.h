@@ -59,6 +59,7 @@ struct SimStats {
   uint64_t rb_batch_window_grows = 0;    // Adaptive window steps up (no pressure).
   uint64_t rb_batch_window_shrinks = 0;  // Adaptive window steps down (pressure).
   uint64_t rb_park_flushes = 0;  // Kernel park-hook safety-net flushes.
+  uint64_t rb_migrations = 0;    // Per-replica RB moves (RemonOptions::rb_migration).
 
   // RB network transport (cross-machine replica sets). Cumulative over the whole
   // run — epoch bumps never reset them; rb_epochs below carries the breakdown.

@@ -9,6 +9,7 @@
 #include "src/core/rb_wire.h"
 #include "src/core/remon.h"
 #include "src/core/replication_buffer.h"
+#include "src/harness/runner.h"
 #include "tests/test_util.h"
 
 namespace remon {
@@ -306,10 +307,35 @@ TEST(SecurityTest, RbMigrationMovesBufferTransparently) {
   w.Run();
   EXPECT_TRUE(mvee.finished());
   EXPECT_FALSE(mvee.divergence_detected());
-  EXPECT_GT(mvee.ipmon(0)->rb_migrations(), 0u);
+  EXPECT_GT(w.sim.stats().rb_migrations, 0u);
   EXPECT_NE(base_after_init, 0u);
   EXPECT_NE(mvee.ipmon(0)->rb().base(), base_after_init);
   EXPECT_EQ(w.fs.ReadWholeFile("/tmp/mig.txt")->size(), 120u * 2048u);
+}
+
+TEST(SecurityTest, RbMigrationAcrossWorkerRanksIsTransparent) {
+  // Multi-rank replicas (4 nginx workers): every reset round moves every
+  // replica's RB while the other ranks are mid-call, and the client still sees
+  // the transcript of a run that never moved it.
+  ServerSpec server = ServerByName("nginx");
+  ClientSpec client;
+  client.connections = 8;
+  client.total_requests = 160;
+  LinkParams link{60 * kMicrosecond, 0.125};
+  RunConfig config;
+  config.mode = MveeMode::kRemon;
+  config.replicas = 3;
+  config.rb_size = 1024 * 1024;  // Small enough to force reset rounds.
+  ServerResult fixed = RunServerBench(server, client, config, link);
+  config.rb_migration = true;
+  ServerResult moved = RunServerBench(server, client, config, link);
+  ASSERT_FALSE(fixed.diverged);
+  ASSERT_FALSE(moved.diverged);
+  EXPECT_EQ(fixed.stats.rb_migrations, 0u);
+  EXPECT_GT(moved.stats.rb_resets, 0u);
+  EXPECT_EQ(moved.stats.rb_migrations, 3 * moved.stats.rb_resets);
+  EXPECT_EQ(moved.requests, 160);
+  EXPECT_EQ(moved.bytes_received, fixed.bytes_received);
 }
 
 // --- Authenticated RB transport (wire v4): active network adversaries --------------

@@ -619,15 +619,7 @@ TEST(SyncSuiteTest, SyncVariantTranscriptsIdenticalAcrossPlacements) {
   std::vector<std::string> remote_logs;
   for (int remote = 0; remote <= 1; ++remote) {
     SimWorld w(7);
-    RunConfig config = SyncColumnConfig();
-    RemonOptions opts;
-    opts.mode = config.mode;
-    opts.replicas = config.replicas;
-    opts.level = config.level;
-    opts.rb_batch_max = config.rb_batch_max;
-    opts.rb_batch_policy = config.rb_batch_policy;
-    opts.use_sync_agent = true;
-    opts.sync_log_size = config.sync_log_size;
+    RemonOptions opts = SyncColumnConfig();
     opts.rb_max_inflight_frames = 64;
     opts.machine = w.server_machine;
     if (remote != 0) {

@@ -18,10 +18,12 @@
 // open-loop swarm) under the chosen MVEE configuration and prints a run report.
 // docs/CLI.md is the full flag reference with copy-pasteable examples.
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/harness/runner.h"
@@ -30,31 +32,16 @@
 namespace remon {
 namespace {
 
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr int kFleetFileMapPages = 4;  // --fd-map-pages default for fleet runs.
+
 struct CliArgs {
-  MveeMode mode = MveeMode::kRemon;
-  int replicas = 2;
-  PolicyLevel level = PolicyLevel::kSocketRw;
+  RunConfig config;  // Every MVEE/harness knob; flags parse straight into it.
   std::string workload;
   std::string server;
-  uint64_t seed = 1;
-  int latency_us = 60;
+  int latency_us = 60;  // Client <-> server link (the netem knob).
   int connections = 16;
   int requests = 400;
-  double temporal_p = 0.0;
-  int rb_batch = 0;
-  RbBatchPolicy rb_batch_policy = RbBatchPolicy::kFixed;
-  uint64_t rb_mb = 16;
-  bool rb_migration = false;
-  std::vector<int> placement;
-  int rb_link_latency_us = 60;
-  double rb_link_gbps = 1.0;
-  bool respawn_on_death = false;
-  ReseedMode reseed_mode = ReseedMode::kDelta;
-  int respawn_target = 0;
-  int kill_replica_at_ms = 0;
-  bool sync_agent = false;
-  uint64_t sync_log_kb = 1024;
-  bool rb_auth = false;
   bool list = false;
   // Scale-out: a fleet run replaces the single-set server benchmark.
   int shards = 0;                    // >0: single-tier fleet of this many shards.
@@ -62,8 +49,9 @@ struct CliArgs {
   bool autoscale = false;
   int clients = 10000;               // Open-loop swarm arrivals.
   double arrival_rate = 50000.0;     // Poisson rate, connections/second.
-  int fd_map_pages = 4;              // FileMap pages per shard in fleet runs.
   bool ok = true;
+
+  bool fleet() const { return shards > 0 || !tiers.empty(); }
 };
 
 bool StartsWith(const char* arg, const char* prefix, const char** value) {
@@ -75,213 +63,193 @@ bool StartsWith(const char* arg, const char* prefix, const char** value) {
   return false;
 }
 
+// Parses a whole-token number in [lo, hi]. "4x", "", "abc", a sign on an
+// unsigned value and out-of-range values are usage errors: never truncated,
+// wrapped or guessed at.
+template <typename T>
+bool ParseNumber(std::string_view s, T lo, T hi, T* out) {
+  T n{};
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+  if (ec != std::errc() || end != s.data() + s.size() || !(n >= lo && n <= hi)) {
+    return false;
+  }
+  *out = n;
+  return true;
+}
+
+// Splits "A,B,..." into its items; an empty list or item ("1,,2", a trailing
+// comma) is a usage error.
+bool SplitList(std::string_view s, std::vector<std::string_view>* items) {
+  while (true) {
+    size_t comma = s.find(',');
+    items->push_back(s.substr(0, comma));
+    if (items->back().empty()) {
+      return false;
+    }
+    if (comma == std::string_view::npos) {
+      return true;
+    }
+    s.remove_prefix(comma + 1);
+  }
+}
+
 CliArgs Parse(int argc, char** argv) {
   CliArgs args;
-  for (int i = 1; i < argc; ++i) {
+  RunConfig& c = args.config;
+  bool fd_map_pages_set = false;
+  for (int i = 1; i < argc && args.ok; ++i) {
     const char* v = nullptr;
     if (StartsWith(argv[i], "--mode=", &v)) {
       std::string m = v;
-      if (m == "native") args.mode = MveeMode::kNative;
-      else if (m == "ghumvee") args.mode = MveeMode::kGhumveeOnly;
-      else if (m == "remon") args.mode = MveeMode::kRemon;
-      else if (m == "varan") args.mode = MveeMode::kVaranLike;
+      if (m == "native") c.mode = MveeMode::kNative;
+      else if (m == "ghumvee") c.mode = MveeMode::kGhumveeOnly;
+      else if (m == "remon") c.mode = MveeMode::kRemon;
+      else if (m == "varan") c.mode = MveeMode::kVaranLike;
       else args.ok = false;
     } else if (StartsWith(argv[i], "--replicas=", &v)) {
-      args.replicas = std::atoi(v);
+      args.ok = ParseNumber(v, 1, c.max_ranks, &c.replicas);
     } else if (StartsWith(argv[i], "--level=", &v)) {
       std::string l = v;
-      if (l == "base") args.level = PolicyLevel::kBase;
-      else if (l == "nonsocket_ro") args.level = PolicyLevel::kNonsocketRo;
-      else if (l == "nonsocket_rw") args.level = PolicyLevel::kNonsocketRw;
-      else if (l == "socket_ro") args.level = PolicyLevel::kSocketRo;
-      else if (l == "socket_rw") args.level = PolicyLevel::kSocketRw;
+      if (l == "base") c.level = PolicyLevel::kBase;
+      else if (l == "nonsocket_ro") c.level = PolicyLevel::kNonsocketRo;
+      else if (l == "nonsocket_rw") c.level = PolicyLevel::kNonsocketRw;
+      else if (l == "socket_ro") c.level = PolicyLevel::kSocketRo;
+      else if (l == "socket_rw") c.level = PolicyLevel::kSocketRw;
       else args.ok = false;
     } else if (StartsWith(argv[i], "--workload=", &v)) {
       args.workload = v;
     } else if (StartsWith(argv[i], "--server=", &v)) {
       args.server = v;
     } else if (StartsWith(argv[i], "--seed=", &v)) {
-      args.seed = static_cast<uint64_t>(std::atoll(v));
+      args.ok = ParseNumber<uint64_t>(v, 0, ~uint64_t{0}, &c.seed);
     } else if (StartsWith(argv[i], "--latency-us=", &v)) {
-      args.latency_us = std::atoi(v);
+      args.ok = ParseNumber(v, 0, kIntMax, &args.latency_us);
     } else if (StartsWith(argv[i], "--connections=", &v)) {
-      args.connections = std::atoi(v);
+      args.ok = ParseNumber(v, 1, kIntMax, &args.connections);
     } else if (StartsWith(argv[i], "--requests=", &v)) {
-      args.requests = std::atoi(v);
+      args.ok = ParseNumber(v, 1, kIntMax, &args.requests);
     } else if (StartsWith(argv[i], "--temporal-p=", &v)) {
-      args.temporal_p = std::atof(v);
+      // Temporal exemption probability; > 0 enables the §3.4 policy.
+      args.ok = ParseNumber(v, 0.0, 1.0, &c.temporal.exempt_probability);
+      c.temporal.enabled = c.temporal.exempt_probability > 0;
     } else if (StartsWith(argv[i], "--rb-batch=", &v)) {
       // N = fixed window; "adaptive" = waiter-pressure-driven window with the
-      // default ceiling; "adaptive:MAX" picks the ceiling.
-      // A whole-token number, so "adaptive:1O" / "4x" error out instead of running
-      // a sweep under a silently different window.
-      auto parse_window = [](const char* s, int* out) {
-        char* end = nullptr;
-        long n = std::strtol(s, &end, 10);
-        if (end == s || *end != '\0' || n < 0) {
-          return false;
-        }
-        *out = static_cast<int>(n);
-        return true;
-      };
+      // default ceiling; "adaptive:MAX" picks the ceiling. "adaptive4",
+      // "adaptive:1O", "4x": reject, don't guess.
+      c.rb_batch_policy = RbBatchPolicy::kFixed;
+      c.rb_batch_max = 0;
       if (std::strcmp(v, "adaptive") == 0) {
-        args.rb_batch_policy = RbBatchPolicy::kAdaptive;
-        args.rb_batch = 0;
-      } else if (std::strncmp(v, "adaptive:", 9) == 0 &&
-                 parse_window(v + 9, &args.rb_batch) && args.rb_batch > 0) {
-        args.rb_batch_policy = RbBatchPolicy::kAdaptive;
-      } else if (parse_window(v, &args.rb_batch)) {
+        c.rb_batch_policy = RbBatchPolicy::kAdaptive;
+      } else if (std::strncmp(v, "adaptive:", 9) == 0) {
+        c.rb_batch_policy = RbBatchPolicy::kAdaptive;
+        args.ok = ParseNumber(v + 9, 1, kIntMax, &c.rb_batch_max);
       } else {
-        args.ok = false;  // "adaptive4", "adaptive:junk", "abc": reject, don't guess.
+        args.ok = ParseNumber(v, 0, kIntMax, &c.rb_batch_max);
       }
     } else if (StartsWith(argv[i], "--rb-mb=", &v)) {
-      args.rb_mb = static_cast<uint64_t>(std::atoll(v));
+      uint64_t mb = 0;
+      args.ok = ParseNumber<uint64_t>(v, 1, ~uint64_t{0} >> 20, &mb);
+      c.rb_size = mb << 20;
     } else if (StartsWith(argv[i], "--placement=", &v)) {
       // "local" keeps every replica on the leader machine (SHM only).
       // "machine:N[,M...]" places replica 1 on replica-host N, replica 2 on M, ...
       // (0 = leader-local; replicas beyond the list stay local).
-      if (std::strcmp(v, "local") == 0) {
-        args.placement.clear();
-      } else if (std::strncmp(v, "machine:", 8) == 0) {
-        const char* s = v + 8;
-        while (args.ok && *s != '\0') {
-          char* end = nullptr;
-          long m = std::strtol(s, &end, 10);
-          if (end == s || m < 0) {
-            args.ok = false;
-            break;
-          }
-          args.placement.push_back(static_cast<int>(m));
-          s = end;
-          if (*s == ',') {
-            ++s;
-            if (*s == '\0') {
-              args.ok = false;  // Trailing comma: reject, don't guess.
-            }
-          } else if (*s != '\0') {
-            args.ok = false;
-          }
-        }
-        if (args.placement.empty()) {
-          args.ok = false;
+      c.placement.clear();
+      std::vector<std::string_view> hosts;
+      if (std::strncmp(v, "machine:", 8) == 0) {
+        args.ok = SplitList(v + 8, &hosts);
+        for (std::string_view host : hosts) {
+          int m = 0;
+          args.ok = args.ok && ParseNumber(host, 0, kIntMax, &m);
+          c.placement.push_back(m);
         }
       } else {
-        args.ok = false;
+        args.ok = std::strcmp(v, "local") == 0;
       }
     } else if (StartsWith(argv[i], "--rb-link-latency-us=", &v)) {
-      args.rb_link_latency_us = std::atoi(v);
-      if (args.rb_link_latency_us < 0) {
-        args.ok = false;
-      }
+      int us = 0;
+      args.ok = ParseNumber(v, 0, kIntMax, &us);
+      c.rb_link_latency = static_cast<DurationNs>(us) * kMicrosecond;
     } else if (StartsWith(argv[i], "--rb-link-gbps=", &v)) {
-      args.rb_link_gbps = std::atof(v);
-      if (args.rb_link_gbps <= 0) {
-        args.ok = false;
-      }
+      double gbps = 0;
+      args.ok = ParseNumber(v, std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(), &gbps);
+      c.rb_link_bytes_per_ns = gbps * 0.125;
     } else if (std::strcmp(argv[i], "--respawn-on-death") == 0) {
       // Replica re-seed: a dead remote replica is replaced via a leader checkpoint
       // over the RB transport instead of ending the run with a divergence report.
-      args.respawn_on_death = true;
+      c.respawn_dead_replicas = true;
     } else if (StartsWith(argv[i], "--reseed=", &v)) {
       // delta (default): replacement checkpoints resume from the dead replica's
       // acked horizon — O(delta), flat in RB size. full: always re-ship the whole
       // leader state (the ablation baseline).
-      if (std::strcmp(v, "delta") == 0) args.reseed_mode = ReseedMode::kDelta;
-      else if (std::strcmp(v, "full") == 0) args.reseed_mode = ReseedMode::kFull;
+      if (std::strcmp(v, "delta") == 0) c.reseed_mode = ReseedMode::kDelta;
+      else if (std::strcmp(v, "full") == 0) c.reseed_mode = ReseedMode::kFull;
       else args.ok = false;
     } else if (StartsWith(argv[i], "--respawn-target=", &v)) {
       // Respawn-as-migration: replacements land on replica-host M (same host
       // namespace as --placement=machine:...) instead of the machine the replica
       // died on. The replacement's join attestation carries the new placement.
-      args.respawn_target = std::atoi(v);
-      if (args.respawn_target <= 0) {
-        args.ok = false;
-      }
+      args.ok = ParseNumber(v, 1, kIntMax, &c.respawn_target);
     } else if (StartsWith(argv[i], "--kill-replica-at-ms=", &v)) {
       // Fault injection: tear the highest-index remote replica's link down at this
       // virtual time (pair with --respawn-on-death to watch the recovery).
-      args.kill_replica_at_ms = std::atoi(v);
-      if (args.kill_replica_at_ms <= 0) {
-        args.ok = false;
-      }
+      int ms = 0;
+      args.ok = ParseNumber(v, 1, kIntMax, &ms);
+      c.kill_remote_replica_at = Millis(ms);
     } else if (std::strcmp(argv[i], "--sync-agent") == 0) {
       // Record/replay agent for multi-threaded workloads: pool servers serialize
       // their racy accept-side bookkeeping through it, and under a cross-machine
       // placement the master's log streams as kSyncLog frames.
-      args.sync_agent = true;
+      c.use_sync_agent = true;
     } else if (StartsWith(argv[i], "--sync-log-kb=", &v)) {
-      long long kb = std::atoll(v);
-      if (kb <= 0) {
-        args.ok = false;  // Negative sizes must not wrap into a huge uint64.
-      } else {
-        args.sync_log_kb = static_cast<uint64_t>(kb);
-      }
+      uint64_t kb = 0;
+      args.ok = ParseNumber<uint64_t>(v, 1, ~uint64_t{0} >> 10, &kb);
+      c.sync_log_size = kb << 10;
     } else if (std::strcmp(argv[i], "--rb-auth") == 0) {
       // Authenticated RB transport (wire v4): MAC + stream encryption on every
       // cross-machine frame, attested join before a replacement is re-seeded.
-      args.rb_auth = true;
+      c.rb_auth = true;
     } else if (std::strcmp(argv[i], "--rb-migration") == 0) {
-      args.rb_migration = true;
+      c.rb_migration = true;
     } else if (StartsWith(argv[i], "--shards=", &v)) {
-      args.shards = std::atoi(v);
-      if (args.shards <= 0) {
-        args.ok = false;
-      }
+      args.ok = ParseNumber(v, 1, kIntMax, &args.shards);
     } else if (StartsWith(argv[i], "--tiers=", &v)) {
       // "SERVER:SHARDS[,SERVER:SHARDS...]" front tier first, e.g.
       // --tiers=nginx:2,memcached:2,redis:1. Each tier is a fleet of full
       // replica sets behind its own load-balanced virtual endpoint; tier k
       // treats tier k+1 as its upstream.
-      const char* s = v;
-      while (args.ok && *s != '\0') {
-        const char* colon = std::strchr(s, ':');
-        if (colon == nullptr || colon == s) {
-          args.ok = false;
-          break;
-        }
-        char* end = nullptr;
-        long n = std::strtol(colon + 1, &end, 10);
-        if (end == colon + 1 || n <= 0) {
-          args.ok = false;
-          break;
-        }
-        args.tiers.emplace_back(std::string(s, colon), static_cast<int>(n));
-        s = end;
-        if (*s == ',') {
-          ++s;
-          if (*s == '\0') {
-            args.ok = false;  // Trailing comma: reject, don't guess.
-          }
-        } else if (*s != '\0') {
-          args.ok = false;
-        }
-      }
-      if (args.tiers.empty()) {
-        args.ok = false;
+      args.tiers.clear();
+      std::vector<std::string_view> tiers;
+      args.ok = SplitList(v, &tiers);
+      for (std::string_view tier : tiers) {
+        size_t colon = tier.find(':');
+        int n = 0;
+        args.ok = args.ok && colon != 0 && colon != std::string_view::npos &&
+                  ParseNumber(tier.substr(colon + 1), 1, kIntMax, &n);
+        args.tiers.emplace_back(std::string(tier.substr(0, colon)), n);
       }
     } else if (std::strcmp(argv[i], "--autoscale") == 0) {
       args.autoscale = true;
     } else if (StartsWith(argv[i], "--clients=", &v)) {
-      args.clients = std::atoi(v);
-      if (args.clients <= 0) {
-        args.ok = false;
-      }
+      args.ok = ParseNumber(v, 1, kIntMax, &args.clients);
     } else if (StartsWith(argv[i], "--arrival-rate=", &v)) {
-      args.arrival_rate = std::atof(v);
-      if (args.arrival_rate <= 0) {
-        args.ok = false;
-      }
+      args.ok = ParseNumber(v, std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(), &args.arrival_rate);
     } else if (StartsWith(argv[i], "--fd-map-pages=", &v)) {
-      args.fd_map_pages = std::atoi(v);
-      if (args.fd_map_pages < 1 || args.fd_map_pages > 1024) {
-        args.ok = false;
-      }
+      args.ok = ParseNumber(v, 1, 1024, &c.file_map_pages);
+      fd_map_pages_set = true;
     } else if (std::strcmp(argv[i], "--list") == 0) {
       args.list = true;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       args.ok = false;
     }
+    if (!args.ok) {
+      std::fprintf(stderr, "invalid argument: %s\n", argv[i]);
+    }
+  }
+  if (args.fleet() && !fd_map_pages_set) {
+    c.file_map_pages = kFleetFileMapPages;  // Swarm-scale FD counts.
   }
   return args;
 }
@@ -305,12 +273,16 @@ void PrintStats(const SimStats& stats) {
               static_cast<unsigned long long>(stats.syscalls_monitored),
               static_cast<unsigned long long>(stats.syscalls_unmonitored));
   std::printf("  ptrace stops=%llu | tokens issued=%llu revoked=%llu | rb entries=%llu "
-              "resets=%llu\n",
+              "resets=%llu",
               static_cast<unsigned long long>(stats.ptrace_stops),
               static_cast<unsigned long long>(stats.tokens_issued),
               static_cast<unsigned long long>(stats.tokens_revoked),
               static_cast<unsigned long long>(stats.rb_entries),
               static_cast<unsigned long long>(stats.rb_resets));
+  if (stats.rb_migrations > 0) {
+    std::printf(" migrations=%llu", static_cast<unsigned long long>(stats.rb_migrations));
+  }
+  std::printf("\n");
   if (stats.rb_batch_flushes > 0) {
     std::printf("  rb batching: batched=%llu precall-coalesced=%llu flushes=%llu "
                 "window +%llu/-%llu park-flushes=%llu\n",
@@ -395,33 +367,12 @@ void PrintStats(const SimStats& stats) {
 }
 
 int Run(const CliArgs& args) {
-  RunConfig config;
-  config.mode = args.mode;
-  config.replicas = args.replicas;
-  config.level = args.level;
-  config.seed = args.seed;
-  config.rb_size = args.rb_mb * 1024 * 1024;
-  config.rb_batch_max = args.rb_batch;
-  config.rb_batch_policy = args.rb_batch_policy;
-  config.placement = args.placement;
-  config.rb_link_latency = static_cast<DurationNs>(args.rb_link_latency_us) * kMicrosecond;
-  config.rb_link_bytes_per_ns = args.rb_link_gbps * 0.125;
-  config.respawn_dead_replicas = args.respawn_on_death;
-  config.reseed_mode = args.reseed_mode;
-  config.respawn_target = args.respawn_target;
-  config.kill_remote_replica_at = Millis(args.kill_replica_at_ms);
-  config.use_sync_agent = args.sync_agent;
-  config.sync_log_size = args.sync_log_kb * 1024;
-  config.rb_auth = args.rb_auth;
-  if (args.temporal_p > 0) {
-    config.temporal.enabled = true;
-    config.temporal.exempt_probability = args.temporal_p;
-  }
-
-  if (args.shards > 0 || !args.tiers.empty()) {
+  const RunConfig& config = args.config;
+  std::string mode(MveeModeName(config.mode));
+  std::string level(PolicyLevelName(config.level));
+  if (args.fleet()) {
     // Fleet run: N replica-set shards (per tier) behind a load balancer, driven
     // by an open-loop Poisson swarm instead of the closed-loop client.
-    config.file_map_pages = args.fd_map_pages;
     ScaleoutSpec spec;
     std::vector<std::pair<std::string, int>> tiers = args.tiers;
     if (tiers.empty()) {
@@ -448,8 +399,7 @@ int Run(const CliArgs& args) {
     spec.autoscale.enabled = args.autoscale;
     ScaleoutResult run = RunScaleout(spec, config);
     std::printf("fleet under %s (%d replicas, %s): %d clients at %.0f conn/s\n",
-                std::string(MveeModeName(args.mode)).c_str(), args.replicas,
-                std::string(PolicyLevelName(args.level)).c_str(), args.clients,
+                mode.c_str(), config.replicas, level.c_str(), args.clients,
                 args.arrival_rate);
     for (size_t t = 0; t < spec.tiers.size(); ++t) {
       std::printf("  tier %s: shards=%d in-rotation=%d port=%u\n",
@@ -484,8 +434,7 @@ int Run(const CliArgs& args) {
     ServerResult base = RunServerBench(server, client, native, link);
     ServerResult run = RunServerBench(server, client, config, link);
     std::printf("server %s under %s (%d replicas, %s, %d us link):\n",
-                server.name.c_str(), std::string(MveeModeName(args.mode)).c_str(),
-                args.replicas, std::string(PolicyLevelName(args.level)).c_str(),
+                server.name.c_str(), mode.c_str(), config.replicas, level.c_str(),
                 args.latency_us);
     std::printf("  native: %d requests, %.0f req/s, %.0f us mean latency\n",
                 base.requests, base.throughput, base.mean_latency_us);
@@ -508,8 +457,7 @@ int Run(const CliArgs& args) {
         SuiteResult base = RunSuiteWorkload(spec, native);
         SuiteResult run = RunSuiteWorkload(spec, config);
         std::printf("workload %s under %s (%d replicas, %s):\n", spec.name.c_str(),
-                    std::string(MveeModeName(args.mode)).c_str(), args.replicas,
-                    std::string(PolicyLevelName(args.level)).c_str());
+                    mode.c_str(), config.replicas, level.c_str());
         std::printf("  native: %.2f ms | mvee: %.2f ms | normalized: %.2f%s\n",
                     base.seconds * 1e3, run.seconds * 1e3,
                     base.seconds > 0 ? run.seconds / base.seconds : 0,
@@ -530,7 +478,9 @@ int main(int argc, char** argv) {
   remon::CliArgs args = remon::Parse(argc, argv);
   if (!args.ok) {
     std::fprintf(stderr, "usage: remon_cli [--mode=..] [--replicas=N] [--level=..] "
-                         "[--workload=NAME|--server=NAME] [--rb-batch=N|adaptive] "
+                         "[--workload=NAME|--server=NAME] [--seed=N] [--latency-us=N] "
+                         "[--connections=N] [--requests=N] [--temporal-p=F] [--rb-mb=N] "
+                         "[--rb-batch=N|adaptive] [--rb-migration] "
                          "[--placement=local|machine:N,...] [--rb-link-latency-us=N] "
                          "[--rb-link-gbps=F] [--respawn-on-death] [--reseed=delta|full] "
                          "[--respawn-target=M] "
