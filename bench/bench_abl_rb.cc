@@ -143,7 +143,7 @@ void RunRemoteLinkSweep(BenchJson* json) {
   ServerResult base = RunServerBench(server, client, native, client_link);
 
   Table table({"link latency", "policy", "normalized time", "frames", "frame KiB",
-               "stalls", "window +"});
+               "window +"});
   for (int latency_us : {0, 50, 500}) {
     for (const BatchPoint& point :
          {BatchPoint{"unbatched", 0, RbBatchPolicy::kFixed},
@@ -165,7 +165,6 @@ void RunRemoteLinkSweep(BenchJson* json) {
                                                         : -1),
            Table::Num(static_cast<double>(run.stats.rb_frames_sent), 0),
            Table::Num(static_cast<double>(run.stats.rb_frame_bytes_sent) / 1024.0, 0),
-           Table::Num(static_cast<double>(run.stats.rb_transport_stalls), 0),
            Table::Num(static_cast<double>(run.stats.rb_batch_window_grows), 0)});
       if (base.seconds > 0 && !run.diverged) {
         json->Add("link/" + std::to_string(latency_us) + "us/" + point.label +
@@ -177,10 +176,10 @@ void RunRemoteLinkSweep(BenchJson* json) {
   table.Print();
   std::printf(
       "\nOne flush = one frame: the adaptive batch window doubles as the network\n"
-      "coalescing window. As the link slows, backpressure stalls at the leader's\n"
-      "flush points push the window toward its ceiling (fewer, larger frames), so\n"
-      "the slowdown grows with propagation delay rather than with per-entry wire\n"
-      "round trips. Reproduce one point with:\n"
+      "coalescing window (fewer, larger frames). The leader never waits on the\n"
+      "link itself: the RB reset round and the sync-log wrap gate bound how far\n"
+      "the remote replica lags, so a slow link costs only where a lockstep round\n"
+      "or one of those gates waits for it. Reproduce one point with:\n"
       "  remon_cli --server=nginx --replicas=3 --placement=machine:1 \\\n"
       "            --rb-batch=adaptive --rb-link-latency-us=500\n");
 }

@@ -72,9 +72,6 @@ std::vector<SuiteColumn> SyncColumns() {
 
   RunConfig sync_remote = sync_local;
   sync_remote.placement = {1};
-  // Deep in-flight window: the rotation's tiny liveness-point frames would
-  // otherwise park the master on ack round-trips (see bench_fig3, remon_test.cc).
-  sync_remote.rb_max_inflight_frames = 64;
 
   return {
       {"sync_local4", sync_local, SyncShape, nullptr},

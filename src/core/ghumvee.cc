@@ -263,13 +263,11 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
     // image was cut against the live sub-buffer offsets, and scrubbing them
     // before the replacement acks the End frame dooms the join (the agent
     // refuses a checkpoint from a stale generation, which tears the link and
-    // charges the respawn budget for the leader's own reset). Park the round
-    // until the transfer is acked or the link dies — both bounded, by the
-    // in-flight frame cap and the connect watchdog respectively.
-    if (rb_flush_gate_ && rb_flush_gate_()) {
+    // charges the respawn budget for the leader's own reset).
+    if (co_await ParkOnSnapshotGate()) {
       ++stats.rb_reset_join_stalls;
-      while (rb_flush_gate_() && !shutdown_ && divergences_.empty()) {
-        co_await Work(10 * kMicrosecond);
+      if (shutdown_) {
+        co_return;  // Diverged while parked: the replicas are gone.
       }
     }
     HandleRbFlush(static_cast<int>(rs.req.arg(0)), rs);
@@ -321,7 +319,15 @@ GuestTask<void> Ghumvee::ReplicateMasterResults(RankState& rs, Thread* master_th
   const CostModel& costs = kernel_->sim()->costs();
   Sys nr = rs.req.nr;
 
-  // FD bookkeeping feeds the IP-MON file map (§3.6).
+  // FD bookkeeping feeds the IP-MON file map (§3.6). Every replica shares the
+  // map, and an in-flight replacement checkpoint's apply checks its file-map
+  // image against it: updating it between capture and apply dooms the join.
+  if (DescOf(nr).fd_effect != FdEffect::kNone && co_await ParkOnSnapshotGate()) {
+    ++kernel_->stats().fm_round_join_stalls;
+    if (shutdown_) {
+      co_return;  // Diverged while parked: the replicas are gone.
+    }
+  }
   TrackFds(master_thread->cur_req, result);
   if ((nr == Sys::kOpen || nr == Sys::kOpenat) && result >= 0) {
     FilterMapsContent(master_thread->cur_req, result);
@@ -398,6 +404,12 @@ GuestTask<void> Ghumvee::ReplicateMasterResults(RankState& rs, Thread* master_th
 }
 
 void Ghumvee::HandleExitStop(Thread* t) {
+  // The divergence shutdown kills every replica thread, but exit stops queued
+  // before the kill are still delivered: a thread that is no longer stopped has
+  // nothing to resume (HandleEntryStop skips dead threads the same way).
+  if (t->state() != ThreadState::kPtraceStopped) {
+    return;
+  }
   int rank = t->rank();
   auto it = ranks_.find(rank);
   if (it == ranks_.end()) {
@@ -438,6 +450,18 @@ void Ghumvee::HandleRbFlush(int rank, RankState& rs) {
     a.injected_result = 0;
     kernel_->PtraceResume(rs.current[static_cast<size_t>(i)], a);
   }
+}
+
+GuestTask<bool> Ghumvee::ParkOnSnapshotGate() {
+  if (!snapshot_gate_ || !snapshot_gate_()) {
+    co_return false;
+  }
+  // Bounded: the checkpoint's End frame is acked once the replacement applied
+  // it, and a link that never gets there dies (connect watchdog, peer close).
+  while (snapshot_gate_() && !shutdown_ && divergences_.empty()) {
+    co_await Work(10 * kMicrosecond);
+  }
+  co_return true;
 }
 
 GuestTask<void> Ghumvee::HandleSignalStop(const PtraceEvent& ev) {

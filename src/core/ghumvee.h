@@ -60,14 +60,15 @@ class Ghumvee {
   void AddReplica(Process* process);
   void AttachIpmon(int replica_index, IpMon* mon);
   void set_temporal(TemporalExemptionState* temporal) { temporal_ = temporal; }
-  // Enables the §4 extension: migrate the RB to fresh addresses at flush points
-  // (applied when the replicas are single-threaded and fully stopped).
+  // Enables the §4 extension: migrate the RB to fresh addresses at every RB
+  // reset round, whatever the other ranks are doing.
   void set_rb_migration(bool on) { rb_migration_ = on; }
-  // RB flush/reset gate: while it returns true the flush round parks instead of
-  // scrubbing. Wired to RbTransport::SnapshotInflight — a reset between a
-  // replacement checkpoint's capture and its apply would rebase every offset
-  // the in-flight image was cut against, dooming the join.
-  void set_rb_flush_gate(std::function<bool()> gate) { rb_flush_gate_ = std::move(gate); }
+  // Snapshot gate: while it returns true, the rounds that would change what an
+  // in-flight replacement checkpoint was cut against park instead. Wired to
+  // RbTransport::SnapshotInflight. Two rounds park: the RB reset round (a reset
+  // rebases every offset under the image) and any round with an FD effect (the
+  // apply checks the image's file map against this shared, live map).
+  void set_snapshot_gate(std::function<bool()> gate) { snapshot_gate_ = std::move(gate); }
   FileMap* file_map() { return &file_map_; }
 
   // Starts the monitor event loop.
@@ -122,6 +123,9 @@ class Ghumvee {
                                          int64_t result);
   void HandleExitStop(Thread* t);
   GuestTask<void> HandleSignalStop(const PtraceEvent& ev);
+  // Parks the monitor while the snapshot gate is closed (until the checkpoint is
+  // acked, its link dies, or the MVEE shuts down). Returns true when it parked.
+  GuestTask<bool> ParkOnSnapshotGate();
   void HandleThreadExit(Thread* t);
   void HandleProcessExit();
 
@@ -163,7 +167,7 @@ class Ghumvee {
   std::vector<EpollShadowMap> epoll_shadow_;
 
   std::vector<DivergenceRecord> divergences_;
-  std::function<bool()> rb_flush_gate_;
+  std::function<bool()> snapshot_gate_;
   bool rb_migration_ = false;
   bool running_ = false;
   bool shutdown_ = false;

@@ -337,33 +337,6 @@ void IpMon::EmitToTransport(int rank,
   transport_->SendEntries(rank, entries);
 }
 
-void IpMon::ObserveTransportBackpressure(int rank) {
-  if (config_.rb_batch_policy == RbBatchPolicy::kAdaptive &&
-      static_cast<size_t>(rank) < batch_.size() &&
-      batch_[static_cast<size_t>(rank)].ObserveBackpressure(config_.rb_batch_max) > 0) {
-    ++kernel_->stats().rb_batch_window_grows;
-  }
-}
-
-GuestTask<void> IpMon::StallOnTransport(Thread* t, int rank) {
-  SimStats& stats = kernel_->stats();
-  while (transport_ != nullptr && transport_->Stalled()) {
-    ++stats.rb_transport_stalls;
-    ObserveTransportBackpressure(rank);
-    // The rank's batch must be empty before parking on the stall queue. Parking
-    // runs the kernel park hook, and a non-empty batch would flush right there —
-    // pumping the socket, consuming acks, and firing the stall-queue wake *before*
-    // this thread registers as a waiter: a lost wakeup and a permanent stall. The
-    // flush may overshoot the in-flight bound by one frame; the bound is a
-    // watermark, not a hard budget.
-    if (FlushRbBatch(rank) > 0) {
-      co_await ThreadCost{t, kernel_->sim()->costs().futex_wake_ns};
-      continue;  // The flush pumped the link; re-evaluate before sleeping.
-    }
-    co_await WaitOn{t, transport_->stall_queue()};
-  }
-}
-
 uint32_t IpMon::FlushRbBatch(int rank) {
   if (static_cast<size_t>(rank) >= batch_.size()) {
     return 0;  // Pre-Initialize (batching not set up yet): nothing pending.
@@ -452,13 +425,6 @@ GuestTask<void> IpMon::FlushBatchCharged(Thread* t, int rank) {
   if (FlushRbBatch(rank) > 0) {
     co_await ThreadCost{t, kernel_->sim()->costs().futex_wake_ns};
   }
-  // Slow-link backpressure: with a remote link's in-flight frame budget exhausted,
-  // the leader stalls at its flush point (feeding the adaptive window) instead of
-  // queueing unboundedly. After the flush, so the stall parks with an empty batch
-  // (see StallOnTransport for why that matters).
-  if (transport_ != nullptr && transport_->Stalled()) {
-    co_await StallOnTransport(t, rank);
-  }
 }
 
 GuestTask<void> IpMon::ForwardToGhumvee(Thread* t, SyscallRequest req) {
@@ -477,13 +443,6 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   SimStats& stats = kernel_->stats();
   int rank = t->rank();
   REMON_CHECK(rank < config_.max_ranks);
-
-  // Cross-machine backpressure gate: with a remote link's in-flight frame budget
-  // exhausted, the master may not publish further entries — park here until the
-  // acks drain (or the remote dies and the stream epoch moves on).
-  if (transport_ != nullptr && transport_->Stalled()) {
-    co_await StallOnTransport(t, rank);
-  }
 
   // CALCSIZE: compute the entry footprint; both the signature and the out-capacity
   // derive from argument values that are identical across replicas, so every replica

@@ -113,12 +113,6 @@ class IpMon {
     return w > 1 ? w : 1;
   }
 
-  // One observed transport stall for `rank`: under the adaptive policy the rank's
-  // batch window grows (AIMD) so a slow link amortizes into larger frames. Fed by
-  // this monitor's own flush-point stalls and by the sync agent's append-time
-  // backpressure gate.
-  void ObserveTransportBackpressure(int rank);
-
   // Guest-side initialization prologue: creates/attaches the RB segment (System V
   // IPC, arbitrated by GHUMVEE), maps the file map read-only, and registers with the
   // kernel via the dedicated system call (paper §3.5).
@@ -211,12 +205,6 @@ class IpMon {
   // publication woke someone — the one idiom every coroutine flush point must use
   // so the fixed-vs-adaptive ablation columns stay comparable.
   GuestTask<void> FlushBatchCharged(Thread* t, int rank);
-
-  // Master + transport: parks the thread while any remote link has its full
-  // in-flight frame budget outstanding (slow-link backpressure stalls the leader's
-  // flush point instead of queuing unboundedly); each stall feeds the adaptive
-  // window's AIMD as grow pressure. No-op without a transport.
-  GuestTask<void> StallOnTransport(Thread* t, int rank);
 
   // Master + transport: serializes freshly published entries (entry_off,
   // final-state pairs) into one frame broadcast to every remote agent.

@@ -44,9 +44,7 @@ bool DrainSendQueue(StreamSocket* sock, std::deque<std::vector<uint8_t>>* q,
 // --- RbTransport (leader side) ----------------------------------------------------
 
 RbTransport::RbTransport(Kernel* kernel, uint32_t leader_machine, Options options)
-    : kernel_(kernel), leader_machine_(leader_machine), options_(options) {
-  REMON_CHECK(options_.max_inflight_frames >= 1);
-}
+    : kernel_(kernel), leader_machine_(leader_machine), options_(options) {}
 
 RbTransport::~RbTransport() {
   for (auto& r : remotes_) {
@@ -128,8 +126,7 @@ void RbTransport::EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snaps
   // The checkpoint leads the stream: every data frame published from here on
   // queues behind it, so the mirror the replacement reconstructs is the leader's
   // RB at the capture point plus, in order, everything after it. Snapshot frames
-  // take normal sequence numbers — the in-flight bound and cumulative acks
-  // throttle checkpoint transfer exactly like entry traffic.
+  // take normal sequence numbers and cumulative acks, exactly like entry traffic.
   SimStats& stats = kernel_->stats();
   auto enqueue = [&](RbFrameType type, const std::vector<uint8_t>& payload) {
     uint64_t seq = ++r.frames_sent;
@@ -273,15 +270,6 @@ void RbTransport::SendSyncLog(uint64_t start_index,
   }
 }
 
-bool RbTransport::Stalled() const {
-  for (const auto& r : remotes_) {
-    if (RemoteStalled(*r)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool RbTransport::IsRemote(int replica_index) const {
   for (const auto& r : remotes_) {
     if (r->replica_index == replica_index) {
@@ -344,8 +332,6 @@ void RbTransport::MarkDead(Remote& r, const char* why) {
   ++kernel_->stats().rb_remote_deaths;
   std::fprintf(stderr, "[rb-transport] remote replica %d link down (%s); epoch -> %u\n",
                r.replica_index, why, epoch_);
-  // A leader stalled on this remote's acks must not hang on a dead link.
-  stall_queue_.Wake();
   if (on_remote_death_) {
     on_remote_death_(r.replica_index);
   }
@@ -373,8 +359,6 @@ void RbTransport::DetachForMigration(int replica_index) {
     std::fprintf(stderr,
                  "[rb-transport] remote replica %d detached for migration; epoch -> %u\n",
                  replica_index, epoch_);
-    // A leader stalled on this remote's acks must not hang across the move.
-    stall_queue_.Wake();
     return;
   }
   REMON_CHECK_MSG(false, "DetachForMigration: replica was never remote");
@@ -452,7 +436,7 @@ void RbTransport::Pump(Remote& r) {
   DisarmConnectTimer(r);
 
   // Authenticated streams write nothing before the join attestation verifies —
-  // frames queue locally and the in-flight bound throttles the leader meanwhile.
+  // frames queue locally meanwhile.
   if (r.attested) {
     if (!DrainSendQueue(r.sock.get(), &r.sendq, &r.sendq_head_off)) {
       MarkDead(r, "write failed");
@@ -477,7 +461,6 @@ void RbTransport::Pump(Remote& r) {
     }
     r.parser.Feed(buf, static_cast<size_t>(n));
   }
-  bool was_stalled = RemoteStalled(r);
   SimStats& stats = kernel_->stats();
   RbWireFrame frame;
   for (;;) {
@@ -519,8 +502,9 @@ void RbTransport::Pump(Remote& r) {
     }
     // Acks are per-connection state: a dead connection's acks can never arrive
     // (the socket is gone), and an epoch bump caused by *another* remote's death
-    // must not invalidate this live link's in-flight acks — that would leave it
-    // stalled forever. The echoed epoch identifies the stream, nothing more.
+    // must not invalidate this live link's in-flight acks — its delta basis and
+    // snapshot gate run on them. The echoed epoch identifies the stream, nothing
+    // more.
     r.frames_acked = std::max(r.frames_acked, frame.ack_seq);
     FoldAckedMeta(r);
     ++stats.rb_frames_acked;
@@ -534,9 +518,6 @@ void RbTransport::Pump(Remote& r) {
         on_sync_cursor_(r.replica_index);
       }
     }
-  }
-  if (was_stalled && !RemoteStalled(r)) {
-    stall_queue_.Wake();
   }
 }
 
@@ -575,7 +556,7 @@ bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
   } else if (!r.sendq.empty()) {
     // Frames enqueued while the attestation was in flight were held by this
     // pump's drain pass (it runs before the read loop); release them now, or the
-    // link goes idle with the leader stalled on acks that can never come.
+    // link goes idle with the leader parked on acks that can never come.
     if (!DrainSendQueue(r.sock.get(), &r.sendq, &r.sendq_head_off)) {
       MarkDead(r, "write failed");
       return false;

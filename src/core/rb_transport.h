@@ -9,9 +9,9 @@
 //   ┌────────────────────┐   frames (one per     ┌─────────────────────────┐
 //   │ master IP-MON      │   flush/publication)  │ RemoteSyncAgent         │
 //   │  └─ RbTransport ───┼──────────────────────▶│  └─ applies entry images│
-//   │     (send queue,   │◀──────────────────────┼─     into the RB mirror,│
-//   │      bounded in-   │   cumulative acks     │      wakes futex waiters│
-//   │      flight frames)│                       │ slave IP-MON (unchanged)│
+//   │     (send queue)   │◀──────────────────────┼─     into the RB mirror,│
+//   │                    │   cumulative acks     │      wakes futex waiters│
+//   │                    │                       │ slave IP-MON (unchanged)│
 //   └────────────────────┘                       └─────────────────────────┘
 //
 // The slave-side fast path is untouched: a remote slave waits on, checks, and
@@ -25,17 +25,19 @@
 // replays them into the replica's machine-local log mirror with the tail word
 // stored last, so BeforeAcquire replay is placement-transparent too.
 //
-// Backpressure: the transport bounds the number of unacknowledged data frames per
-// remote. When the bound is hit, the leader's flush points stall on stall_queue()
-// until acks drain (IpMon::StallOnTransport), and each stall feeds the adaptive
-// batch window's AIMD as grow pressure — coalescing more entries per frame is how
-// a slow link is amortized.
+// Lag bound: the transport itself never blocks the leader; its send queue is
+// bounded by the two gates that bound a remote slave's lag structurally. The RB
+// cannot start a new lap until every replica, remote ones included, reaches
+// GHUMVEE's reset round (kRemonRbFlush), so a remote's mirror never trails the
+// leader by more than one RB lap. The sync-log wrap gate bounds the sync stream
+// the same way: an append waits until every replica's acked replay cursor is
+// within one log lap of it.
 //
 // Remote death: a peer FIN/RST (or an agent Shutdown) marks the remote dead, bumps
 // the stream epoch so stale frames of the torn connection cannot be confused with
-// a future stream, wakes any stalled leader thread, and reports through the
-// on_remote_death callback (wired to GHUMVEE's divergence shutdown) — a lost
-// machine ends the run with a report, never a hang.
+// a future stream, and reports through the on_remote_death callback (wired to
+// GHUMVEE's divergence shutdown) — a lost machine ends the run with a report,
+// never a hang.
 //
 // Replica re-seed: instead of shrinking the set permanently, the front end can
 // attach a *replacement* replica at the post-bump epoch (Remon::SpawnReplacement /
@@ -43,9 +45,10 @@
 // connection whose first sequenced frames are the leader checkpoint
 // (kSnapshotDelta/kSnapshotChunk/kSnapshotEnd, src/core/snapshot.h); data frames
 // published afterwards queue behind it in order, so the replacement's mirror is
-// exactly the leader's RB at every point it observes. Snapshot frames obey the
-// same in-flight bound and cumulative acks as entry frames — a large checkpoint
-// throttles the leader's flush points instead of ballooning the send queue.
+// exactly the leader's RB at every point it observes. Snapshot frames share the
+// sequence space and cumulative acks of entry frames; while one is in flight,
+// GHUMVEE parks the RB reset round and file-map-changing rounds
+// (SnapshotInflight) so the image stays valid until the replacement applied it.
 //
 // O(delta) re-seed (wire v5): the transport additionally folds every remote's
 // cumulative acks into a per-slot RbDeltaBasis — per rank, the highest entry
@@ -75,7 +78,6 @@
 #include "src/net/network.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/time.h"
-#include "src/vfs/wait_queue.h"
 
 namespace remon {
 
@@ -99,8 +101,6 @@ struct RbLeaderClock {
 class RbTransport {
  public:
   struct Options {
-    // Unacked data frames allowed per remote before flush points stall.
-    int max_inflight_frames = 8;
     // Wire v4 authentication (nullptr = plain CRC streams). When set, every frame
     // is sealed/verified with per-epoch session keys, and no data flows to a
     // remote until its join attestation (identity + config digest) verifies.
@@ -154,19 +154,13 @@ class RbTransport {
   }
 
   // Broadcasts one publication — one frame — to every live remote. Never blocks:
-  // frames queue locally; the in-flight bound is enforced at the leader's flush
-  // points via Stalled()/stall_queue().
+  // frames queue locally, bounded by the RB reset round (see the header comment).
   void SendEntries(int rank, const std::vector<RbWireEntry>& entries);
 
   // Broadcasts one sync-agent log flush — one kSyncLog frame — to every live
   // remote. Sync frames are ordinary data frames: same sequence space, same
-  // in-flight bound, same cumulative acks as entry frames.
+  // cumulative acks as entry frames; the sync-log wrap gate bounds them.
   void SendSyncLog(uint64_t start_index, const std::vector<RbSyncLogRecord>& records);
-
-  // True while any live remote has >= max_inflight_frames unacked data frames.
-  bool Stalled() const;
-  // Woken when acks drain below the bound or a remote dies.
-  WaitQueue* stall_queue() { return &stall_queue_; }
 
   // Stream epoch: starts at 1, bumped on every remote death.
   uint32_t epoch() const { return epoch_; }
@@ -215,8 +209,9 @@ class RbTransport {
 
   // True while a replacement checkpoint is in flight on a live link: enqueued
   // but not yet cumulatively acked through its End frame (the End ack doubles as
-  // apply confirmation). GHUMVEE's RB flush gate parks the reset round on this —
-  // a reset between capture and apply rebases every offset under the image.
+  // apply confirmation). GHUMVEE parks the RB reset round on this — a reset
+  // between capture and apply rebases every offset under the image — and so does
+  // every round that changes the shared file map the image was checked against.
   bool SnapshotInflight() const;
 
  private:
@@ -284,11 +279,6 @@ class RbTransport {
   void Seal(std::vector<uint8_t>* frame);
   // Verifies a join attestation; returns false when the link was torn.
   bool HandleAttest(Remote& r, const RbWireFrame& frame);
-  bool RemoteStalled(const Remote& r) const {
-    return !r.dead &&
-           r.frames_sent - r.frames_acked >=
-               static_cast<uint64_t>(options_.max_inflight_frames);
-  }
 
   Kernel* kernel_;
   uint32_t leader_machine_;
@@ -299,7 +289,6 @@ class RbTransport {
   std::function<void(int)> on_sync_cursor_;
   std::function<void(int, uint64_t)> on_attested_join_;
   std::function<RbLeaderClock()> leader_clock_;
-  WaitQueue stall_queue_;
   std::vector<std::unique_ptr<Remote>> remotes_;
 };
 

@@ -47,10 +47,9 @@
 // kSnapshotDelta / kSnapshotChunk / kSnapshotEnd carry the replica re-seed
 // checkpoint (src/core/snapshot.h) that attaches a replacement replica to a live
 // replica set after an epoch bump. They are sequenced data frames: each carries a
-// frame_seq, counts against the in-flight bound, and is cumulatively acknowledged
-// like kEntries, so snapshot traffic interleaves with bounded in-flight data
-// frames instead of monopolizing the link. Their payloads are opaque at this
-// layer (the snapshot codec owns them); entry_count is 0.
+// frame_seq and is cumulatively acknowledged like kEntries, and the data frames
+// published after the capture queue behind them in order. Their payloads are
+// opaque at this layer (the snapshot codec owns them); entry_count is 0.
 //
 // kSnapshotDelta (since v5; the only checkpoint opener since v6) announces the
 // checkpoint's basis: per-rank resume offsets, the leader's RB reset generation
@@ -87,9 +86,8 @@
 // Record k names absolute log op start_index + k; the receiver replays records
 // into the machine-local log mirror with the slot bytes first and the tail word
 // stored last (forward-only). kSyncLog frames are sequenced, CRC'd, epoch-scoped
-// data frames exactly like kEntries: they share the frame_seq space, count
-// against the in-flight bound, are cumulatively acked, and obey the join-epoch
-// floor after a re-seed.
+// data frames exactly like kEntries: they share the frame_seq space, are
+// cumulatively acked, and obey the join-epoch floor after a re-seed.
 
 #ifndef SRC_CORE_RB_WIRE_H_
 #define SRC_CORE_RB_WIRE_H_

@@ -229,7 +229,6 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
           DescriptorRegistryDigest());
     }
     RbTransport::Options topts;
-    topts.max_inflight_frames = options_.rb_max_inflight_frames;
     topts.auth = auth_.get();
     topts.config_digest = config_digest_;
     transport_ = std::make_unique<RbTransport>(kernel_, options_.machine, topts);
@@ -284,11 +283,6 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
       // host-side read, so the transport pokes the parked master explicitly.
       transport_->set_on_sync_cursor(
           [master_agent](int) { master_agent->OnRemoteCursorAck(); });
-      // Append-time transport stalls feed the same AIMD the flush-point stalls
-      // do: a saturated link grows the coalescing window instead of letting the
-      // pending stream grow without bound.
-      master_agent->set_on_backpressure(
-          [master_mon](int rank) { master_mon->ObserveTransportBackpressure(rank); });
     }
     respawn_attempts_.assign(static_cast<size_t>(n), 0);
     join_generation_.assign(static_cast<size_t>(n), 0);
@@ -368,10 +362,11 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
       pending_respawns_.push_back(*id_cell);
     });
     if (ghumvee_ != nullptr) {
-      // Reset/re-seed interlock: the RB flush round parks while a replacement
-      // checkpoint is in flight, so a reset can never rebase the offsets an
-      // in-flight image was cut against (it would doom the join on apply).
-      ghumvee_->set_rb_flush_gate(
+      // Reset/re-seed interlock: the RB flush round and FD-effect rounds park
+      // while a replacement checkpoint is in flight, so neither the offsets nor
+      // the file map an in-flight image was cut against can change before the
+      // replacement applied it.
+      ghumvee_->set_snapshot_gate(
           [this] { return transport_ != nullptr && transport_->SnapshotInflight(); });
     }
   }

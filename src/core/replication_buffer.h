@@ -309,19 +309,6 @@ class RbBatch {
     return window_ - before;
   }
 
-  // Feeds one transport-backpressure observation (the leader stalled at a flush
-  // point because a remote link has the full in-flight frame budget outstanding).
-  // On a slow link the cure is the opposite of local waiter pressure: coalesce
-  // *more* entries per frame, so the window takes the AIMD additive step up.
-  // Returns the signed window change (for the caller's stats).
-  int ObserveBackpressure(int window_max) {
-    if (window_ >= window_max) {
-      return 0;
-    }
-    ++window_;
-    return 1;
-  }
-
  private:
   std::vector<Slot> slots_;
   int window_ = 1;  // Effective batch size under kAdaptive; grows on idle flushes.

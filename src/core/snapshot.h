@@ -30,9 +30,8 @@
 //
 // On the wire the snapshot rides the normal RB stream as three sequenced,
 // CRC-protected frame types (kSnapshotDelta / kSnapshotChunk / kSnapshotEnd,
-// src/core/rb_wire.h), chunked so snapshot traffic obeys the transport's bounded
-// in-flight frame budget and interleaves with data frames instead of
-// monopolizing the link. docs/RB_WIRE_FORMAT.md is the normative payload spec.
+// src/core/rb_wire.h), chunked so no single frame monopolizes the link.
+// docs/RB_WIRE_FORMAT.md is the normative payload spec.
 //
 // Restoration applies the image to the replacement's RB mirror with the same
 // ordering discipline the live replay path uses: entry bodies first, state words
@@ -160,8 +159,8 @@ ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
 
 // --- Wire payloads -----------------------------------------------------------------
 
-// Image bytes per kSnapshotChunk frame. Small enough that snapshot frames obey the
-// transport's in-flight budget without head-of-line-blocking the data stream.
+// Image bytes per kSnapshotChunk frame: small enough that no single frame
+// monopolizes the link.
 inline constexpr uint64_t kSnapshotChunkBytes = 64 * 1024;
 
 struct SnapshotPayloads {

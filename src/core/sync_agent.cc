@@ -72,20 +72,6 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
   co_await ThreadCost{t, 120};
 
   if (is_master()) {
-    // Transport backpressure gates the append itself, not only the flush points:
-    // a master must not run the sync stream arbitrarily far ahead of what a slow
-    // link has acknowledged. Flush before parking — the frame that fills the
-    // in-flight window is also the one whose ack will wake us — and feed the
-    // stall into the adaptive batch window's AIMD exactly like entry frames do.
-    while (transport_ != nullptr && transport_->Stalled()) {
-      FlushLogStream();
-      ++kernel_->stats().sync_log_append_stalls;
-      if (on_backpressure_) {
-        on_backpressure_(static_cast<int>(rank));
-      }
-      co_await WaitOn{t, transport_->stall_queue()};
-    }
-
     // Wraparound gate: op `seq` reuses the slot op `seq - cap` occupied, so the
     // append must wait until every replica has replayed past that occupant. The
     // pending stream flushes first — a remote replica cannot drain the log this

@@ -112,12 +112,6 @@ class SyncAgent {
   // (wired to RbTransport::set_on_sync_cursor) — re-checks the wraparound gate.
   void OnRemoteCursorAck() { wrap_queue_.Wake(); }
 
-  // Master: invoked once per append-time transport stall with the appending rank
-  // (feeds the adaptive batch window's AIMD, like flush-point stalls do).
-  void set_on_backpressure(std::function<void(int)> fn) {
-    on_backpressure_ = std::move(fn);
-  }
-
   // Coalescing window for the sync-log stream, per appending rank (wired to the
   // master IP-MON's adaptive batch window). Unset or <= 1: one frame per append.
   void set_coalesce_window(std::function<int(int)> fn) { window_fn_ = std::move(fn); }
@@ -191,7 +185,6 @@ class SyncAgent {
   // Cross-machine streaming state (master only).
   RbTransport* transport_ = nullptr;
   std::function<int(int)> window_fn_;
-  std::function<void(int)> on_backpressure_;
   uint64_t pending_start_ = 0;  // Absolute index of pending_[0].
   std::vector<RbSyncLogRecord> pending_;
   // Remote slave: cursor-update channel to this replica's RemoteSyncAgent

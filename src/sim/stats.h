@@ -68,7 +68,9 @@ struct SimStats {
   uint64_t rb_frames_acked = 0;       // Acks consumed by the leader.
   uint64_t rb_frames_applied = 0;     // Frames replayed into remote RB mirrors.
   uint64_t rb_entries_applied = 0;    // Entry images replayed into mirrors.
-  uint64_t rb_transport_stalls = 0;   // Leader flush points parked on backpressure.
+  // Always 0: the transport has no frame window to park on; the RB reset round
+  // bounds remote lag. Kept because external stats readers still report it.
+  uint64_t rb_transport_stalls = 0;
   uint64_t rb_remote_deaths = 0;      // Remote links torn down (epoch bumps).
 
   // Replica re-seed (snapshot join after an epoch bump).
@@ -84,6 +86,7 @@ struct SimStats {
   uint64_t rb_snapshot_delta_bytes_sent = 0;  // Framed bytes of those re-seeds only.
   uint64_t rb_snapshot_full_fallbacks = 0;  // Delta requested but basis unusable.
   uint64_t rb_reset_join_stalls = 0;  // RB flush rounds parked on an in-flight re-seed.
+  uint64_t fm_round_join_stalls = 0;  // FD-effect rounds parked on an in-flight re-seed.
   uint64_t rb_replica_migrations = 0;  // Respawns placed on a different machine.
   uint64_t file_map_grows = 0;         // Live FileMap page-count growths published.
 
@@ -119,7 +122,8 @@ struct SimStats {
   uint64_t sync_log_frames_applied = 0;   // kSyncLog frames replayed into mirrors.
   uint64_t sync_log_records_applied = 0;  // Records replayed into mirrors.
   uint64_t sync_log_wrap_stalls = 0;      // Master appends parked on a full log.
-  uint64_t sync_log_append_stalls = 0;    // Master appends parked on transport backpressure.
+  // Always 0, like rb_transport_stalls: the wrap gate above bounds the stream.
+  uint64_t sync_log_append_stalls = 0;
   uint64_t sync_cursor_acks = 0;          // Acks that advanced a remote replay cursor.
 
   // Signals.

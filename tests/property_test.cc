@@ -866,6 +866,97 @@ TEST(RandomizedLockstepTest, ResetRoundParksOnInflightReseed) {
   EXPECT_GE(total_stalls, 1u);
 }
 
+// File-map/re-seed interlock: every replica shares GHUMVEE's file map, and a
+// replacement's apply checks the checkpoint's file-map image against that live
+// map. A monitored call that creates a descriptor between the capture and the
+// apply changes the map under the in-flight image, and the replacement refuses a
+// healthy join ("file map diverged from the leader checkpoint"). GHUMVEE parks
+// such rounds until the checkpoint is acked, as it parks the RB reset round.
+// A blocking accept hits the window even though the lagging replica cannot
+// reach a new round meanwhile: the round fires before the capture, and the
+// master's accept returns, with the new socket, when a client connects while
+// the checkpoint is on the 1 ms link. Both ways to attach a replacement run:
+// respawn after a link death and migration of a live replica.
+constexpr uint16_t kAcceptPort = 8080;
+
+ProgramFn AcceptLoopWorkload(int accepts) {
+  return [accepts](Guest& g) -> GuestTask<void> {
+    int64_t log = co_await g.Open("/tmp/accept.log", kO_CREAT | kO_RDWR);
+    int64_t lfd = co_await g.Socket(kAfInet, kSockStream);
+    GuestAddr sa = g.Alloc(sizeof(GuestSockaddrIn));
+    GuestSockaddrIn addr;
+    addr.sin_port = kAcceptPort;
+    addr.sin_addr = 0;  // The server machine.
+    g.Poke(sa, &addr, sizeof(addr));
+    co_await g.Bind(static_cast<int>(lfd), sa, sizeof(addr));
+    co_await g.Listen(static_cast<int>(lfd), 64);
+    GuestAddr buf = g.Alloc(256);
+    for (int i = 0; i < accepts; ++i) {
+      int64_t cfd = co_await g.Accept(static_cast<int>(lfd), 0, 0);
+      co_await g.Write(static_cast<int>(log), buf, 256);
+      co_await g.Close(static_cast<int>(cfd));
+    }
+    co_await g.Close(static_cast<int>(lfd));
+    co_await g.Close(static_cast<int>(log));
+  };
+}
+
+TEST(ReseedInterlockTest, AcceptDuringCheckpointFlightJoinsCleanly) {
+  for (bool migrate : {false, true}) {
+    SimWorld w(41);
+    RemonOptions opts;
+    opts.mode = MveeMode::kRemon;
+    opts.replicas = 3;
+    opts.level = PolicyLevel::kNonsocketRw;
+    opts.rb_size = 256 * 1024;
+    opts.max_ranks = 4;
+    uint32_t host = w.net.AddMachine("replica-host-1");
+    uint32_t standby = w.net.AddMachine("replica-host-2");
+    w.net.SetLink(w.server_machine, host, LinkParams{Millis(1), 0.125});
+    w.net.SetLink(w.server_machine, standby, LinkParams{Millis(1), 0.125});
+    w.net.SetLink(w.server_machine, w.client_machine, LinkParams{Micros(20), 0.125});
+    opts.machine = w.server_machine;
+    opts.replica_machines = {w.server_machine, w.server_machine, host};
+    opts.respawn_dead_replicas = true;
+    Remon mvee(&w.kernel, opts);
+    constexpr int kAccepts = 6;
+    mvee.Launch(AcceptLoopWorkload(kAccepts), "accept");
+    // One client connection every 3 ms (at 1.5, 4.5, 7.5, ... ms), from a plain
+    // socket on the client machine. An iteration takes ~1.1 ms (the close
+    // round waits for the remote replica across the 1 ms link), so every
+    // accept round fires early and the master then blocks in accept.
+    std::vector<std::shared_ptr<StreamSocket>> clients;
+    for (int i = 0; i < kAccepts; ++i) {
+      w.sim.queue().ScheduleAt(Micros(1500) + i * Millis(3), [&w, &clients] {
+        clients.push_back(w.net.CreateStream(w.client_machine));
+        clients.back()->ConnectTo(SockAddr{w.server_machine, kAcceptPort});
+      });
+    }
+    // Both replacements are captured at ~7.0 ms with the accept round fired and
+    // the master blocked in accept: a migration captures at once, a respawn
+    // 1.2 ms after the kill (FIN across the link plus the respawn delay). The
+    // 7.5 ms connection returns the accept while the checkpoint is on the link.
+    TimeNs replace_at = migrate ? Micros(7000) : Micros(5800);
+    w.sim.queue().ScheduleAt(replace_at, [&mvee, migrate, standby] {
+      if (migrate) {
+        mvee.SpawnReplacement(2, static_cast<int>(standby));
+      } else if (RemoteSyncAgent* agent = mvee.remote_agent(2)) {
+        agent->Shutdown();
+      }
+    });
+    w.Run();
+    const SimStats& stats = w.sim.stats();
+    EXPECT_TRUE(mvee.finished()) << "migrate=" << migrate;
+    EXPECT_FALSE(mvee.divergence_detected()) << "migrate=" << migrate;
+    EXPECT_EQ(stats.rb_snapshot_rejects, 0u) << "migrate=" << migrate;
+    EXPECT_EQ(stats.rb_replica_joins, 1u) << "migrate=" << migrate;
+    EXPECT_EQ(stats.rb_replica_migrations, migrate ? 1u : 0u);
+    // The race was on the path: an FD round completed while the checkpoint flew.
+    EXPECT_GE(stats.fm_round_join_stalls, 1u) << "migrate=" << migrate;
+    EXPECT_EQ(w.fs.ReadWholeFile("/tmp/accept.log")->size(), kAccepts * 256u);
+  }
+}
+
 // --- Cross-machine multi-threaded lockstep: sync-agent log transport ----------------
 
 // One fuzzed multi-threaded sync workload. A deterministic global schedule fixes
@@ -1031,8 +1122,7 @@ SyncFuzzOutcome RunSyncFuzz(
     uint64_t seed, FuzzShape shape, int replicas, int batch_max, RbBatchPolicy policy,
     bool remote_last_replica = false, TimeNs kill_remote_at = 0,
     const std::function<void(Remon&, SimWorld&)>& post_run = nullptr,
-    DurationNs link_latency = 50 * kMicrosecond, int max_inflight_frames = 8,
-    bool rb_auth = false, ReseedMode reseed_mode = ReseedMode::kDelta,
+    DurationNs link_latency = 50 * kMicrosecond, bool rb_auth = false, ReseedMode reseed_mode = ReseedMode::kDelta,
     const std::function<void(Remon&, SimWorld&)>& pre_run = nullptr) {
   SimWorld w(seed);
   RemonOptions opts;
@@ -1046,7 +1136,6 @@ SyncFuzzOutcome RunSyncFuzz(
   opts.rb_batch_policy = policy;
   opts.use_sync_agent = true;
   opts.sync_log_size = kSyncFuzzLogSize;
-  opts.rb_max_inflight_frames = max_inflight_frames;
   if (remote_last_replica) {
     uint32_t host = w.net.AddMachine("replica-host-1");
     w.net.SetLink(w.server_machine, host, LinkParams{link_latency, 0.125});
@@ -1165,14 +1254,11 @@ TEST(SyncLockstepTest, RemoteMultithreadedMatchesShmUnderFuzzedSchedules) {
   (void)total_wrap_stalls;  // On the fast link the slave lag stays under one lap.
 }
 
-// On a slow link with a deep in-flight budget, the remote replica's replay lag
-// exceeds a full lap of the 16-slot log, so the master MUST park on the
-// wraparound gate (overwriting an unconsumed slot would corrupt the remote's
-// replay) — and the run must still finish byte-identically: the gate's
-// flush-before-park keeps the stream live while the master sleeps. (With the
-// default shallow in-flight budget the transport backpressure throttles the
-// master below one lap of lag first — also asserted, as the two gates must
-// compose rather than fight.)
+// On a slow link the remote replica's replay lag exceeds a full lap of the
+// 16-slot log, so the master MUST park on the wraparound gate (overwriting an
+// unconsumed slot would corrupt the remote's replay) — and the run must still
+// finish byte-identically: the gate's flush-before-park keeps the stream live
+// while the master sleeps.
 TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
   uint64_t seed = 77;
   FuzzShape shape = ShapeFor(seed);
@@ -1181,28 +1267,16 @@ TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
   SyncFuzzOutcome local = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive);
   ASSERT_TRUE(local.ok);
 
-  // Deep in-flight budget: the wraparound gate is the binding constraint.
   SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
                                      /*remote_last_replica=*/true,
                                      /*kill_remote_at=*/0, /*post_run=*/nullptr,
-                                     /*link_latency=*/Millis(2),
-                                     /*max_inflight_frames=*/256);
+                                     /*link_latency=*/Millis(2));
   ASSERT_TRUE(slow.ok);
   EXPECT_GT(slow.wrap_stalls, 0u);  // The master actually parked on the gate.
   EXPECT_EQ(local.transcript, slow.transcript);
   EXPECT_EQ(local.master_log, slow.master_log);
   EXPECT_EQ(slow.remote_log, slow.master_log);
   EXPECT_EQ(slow.remote_tail, slow.master_tail);
-
-  // Shallow budget on the same slow link: transport backpressure throttles the
-  // master first, and the result is still byte-identical.
-  SyncFuzzOutcome throttled = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
-                                          /*remote_last_replica=*/true,
-                                          /*kill_remote_at=*/0, /*post_run=*/nullptr,
-                                          /*link_latency=*/Millis(2));
-  ASSERT_TRUE(throttled.ok);
-  EXPECT_EQ(local.transcript, throttled.transcript);
-  EXPECT_EQ(throttled.remote_log, throttled.master_log);
 }
 
 // Authenticated multi-threaded cross-machine runs: the sealed kSyncLog/kEntries
@@ -1223,7 +1297,7 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
                                        /*remote_last_replica=*/true,
                                        /*kill_remote_at=*/0, /*post_run=*/nullptr,
                                        /*link_latency=*/50 * kMicrosecond,
-                                       /*max_inflight_frames=*/8, /*rb_auth=*/true);
+                                       /*rb_auth=*/true);
     ASSERT_TRUE(auth.ok) << "seed " << seed;
     ASSERT_EQ(plain.transcript, auth.transcript) << "seed " << seed;
     ASSERT_EQ(plain.rb_entries, auth.rb_entries) << "seed " << seed;
@@ -1232,7 +1306,7 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
     ASSERT_EQ(auth.remote_log, auth.master_log) << "seed " << seed;
   }
 
-  // Slow link, deep in-flight budget: the wrap gate must bind under auth too.
+  // Slow link: the wrap gate must bind under auth too.
   uint64_t seed = 77;
   FuzzShape shape = ShapeFor(seed);
   shape.ops += 20;
@@ -1241,8 +1315,7 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
   SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
                                      /*remote_last_replica=*/true,
                                      /*kill_remote_at=*/0, /*post_run=*/nullptr,
-                                     /*link_latency=*/Millis(2),
-                                     /*max_inflight_frames=*/256, /*rb_auth=*/true);
+                                     /*link_latency=*/Millis(2), /*rb_auth=*/true);
   ASSERT_TRUE(slow.ok);
   EXPECT_GT(slow.wrap_stalls, 0u);
   EXPECT_EQ(local.transcript, slow.transcript);
@@ -1263,7 +1336,6 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
                                            /*kill_remote_at=*/Micros(200),
                                            /*post_run=*/nullptr,
                                            /*link_latency=*/50 * kMicrosecond,
-                                           /*max_inflight_frames=*/8,
                                            /*rb_auth=*/true);
     ASSERT_TRUE(reseeded.ok) << "seed " << rs;
     ASSERT_EQ(base.transcript, reseeded.transcript) << "seed " << rs;
@@ -1296,7 +1368,7 @@ TEST_P(ReseedSyncLogTest, ReseedMidFuzzCarriesSyncLog) {
 
     SyncFuzzOutcome reseeded = RunSyncFuzz(
         seed, shape, 3, 8, RbBatchPolicy::kAdaptive, /*remote_last_replica=*/true,
-        /*kill_remote_at=*/Micros(200), nullptr, 50 * kMicrosecond, 8,
+        /*kill_remote_at=*/Micros(200), nullptr, 50 * kMicrosecond,
         /*rb_auth=*/false, GetParam());
     ASSERT_TRUE(reseeded.ok) << "seed " << seed;
     ASSERT_EQ(base.transcript, reseeded.transcript) << "seed " << seed;
@@ -1352,7 +1424,7 @@ TEST(SyncLockstepTest, ForgedAttestedSyncCursorJoinRefused) {
             stats = w.sim.stats();
             capacity = mvee.sync_agent(0)->capacity();
           },
-          50 * kMicrosecond, 8, /*rb_auth=*/true, ReseedMode::kDelta, forge_cursors);
+          50 * kMicrosecond, /*rb_auth=*/true, ReseedMode::kDelta, forge_cursors);
       ASSERT_GE(stats.rb_remote_deaths, 1u) << "seed " << seed;
       if (forge == Forge::kBehindLap) {
         // Cursor 0 is only behind the lap once the log has wrapped.

@@ -297,12 +297,11 @@ void PrintStats(const SimStats& stats) {
     // Cumulative over the whole run: epoch bumps (remote deaths) never reset the
     // transport counters — the per-epoch breakdown below attributes them.
     std::printf("  rb transport: frames=%llu bytes=%llu acked=%llu applied=%llu "
-                "stalls=%llu deaths=%llu\n",
+                "deaths=%llu\n",
                 static_cast<unsigned long long>(stats.rb_frames_sent),
                 static_cast<unsigned long long>(stats.rb_frame_bytes_sent),
                 static_cast<unsigned long long>(stats.rb_frames_acked),
                 static_cast<unsigned long long>(stats.rb_frames_applied),
-                static_cast<unsigned long long>(stats.rb_transport_stalls),
                 static_cast<unsigned long long>(stats.rb_remote_deaths));
     if (stats.rb_epochs.size() > 1 || stats.rb_remote_deaths > 0) {
       std::printf("  rb epochs:");
