@@ -1,8 +1,8 @@
 // Ablation: replication buffer size (paper §3.2 uses 16 MiB; §4 relies on its 24 bits
 // of address entropy). A smaller RB forces more GHUMVEE-arbitrated resets, each a
-// full lockstep round trip — this sweep quantifies that trade. The second sweep
-// measures batched RB publication: the master coalescing consecutive small
-// POSTCALL commits into one publication + one slave wakeup instead of one per entry.
+// full lockstep round trip — this sweep quantifies that trade. The later sweeps
+// price the cross-machine layer: RB-link latency, and replica re-seed after a
+// remote death.
 
 #include <cstdio>
 
@@ -13,123 +13,12 @@
 namespace remon {
 namespace {
 
-// One label/config pair of the batching sweeps: fixed windows plus the adaptive
-// policy (window floats in [1, ceiling] on observed slave waiter pressure).
-struct BatchPoint {
-  const char* label;
-  int batch_max;
-  RbBatchPolicy policy;
-};
-
-constexpr BatchPoint kBatchPoints[] = {
-    {"unbatched", 0, RbBatchPolicy::kFixed}, {"2", 2, RbBatchPolicy::kFixed},
-    {"4", 4, RbBatchPolicy::kFixed},         {"8", 8, RbBatchPolicy::kFixed},
-    {"16", 16, RbBatchPolicy::kFixed},       {"adaptive", 16, RbBatchPolicy::kAdaptive},
-};
-
-void RunBatchSweep(BenchJson* json) {
-  std::printf("\n== Ablation: batched vs. unbatched RB publication ==\n");
-  // Small-call-heavy workload: many tiny writes, each an IP-MON master call whose
-  // result payload is a few bytes — the case batching amortizes.
-  WorkloadSpec spec;
-  spec.name = "rb-batch";
-  spec.suite = "ablation";
-  spec.threads = 1;
-  spec.iterations = 8000;
-  spec.compute_per_iter = Micros(2);
-  spec.file_writes = 8;
-  spec.io_size = 256;
-
-  RunConfig native;
-  native.mode = MveeMode::kNative;
-  SuiteResult base = RunSuiteWorkload(spec, native);
-
-  Table table({"batch max", "normalized time", "batched entries", "precall coal.",
-               "flushes", "wakes elided"});
-  for (const BatchPoint& point : kBatchPoints) {
-    RunConfig config;
-    config.mode = MveeMode::kRemon;
-    config.replicas = 2;
-    config.level = PolicyLevel::kNonsocketRw;
-    config.rb_batch_max = point.batch_max;
-    config.rb_batch_policy = point.policy;
-    SuiteResult run = RunSuiteWorkload(spec, config);
-    table.AddRow({point.label, Table::Num(run.seconds / base.seconds),
-                  Table::Num(static_cast<double>(run.stats.rb_batched_entries), 0),
-                  Table::Num(static_cast<double>(run.stats.rb_precall_coalesced), 0),
-                  Table::Num(static_cast<double>(run.stats.rb_batch_flushes), 0),
-                  Table::Num(static_cast<double>(run.stats.rb_futex_wakes_elided), 0)});
-    if (base.seconds > 0) {
-      json->Add(std::string("batch/") + point.label + "/normalized_time",
-                run.seconds / base.seconds, "x");
-    }
-  }
-  table.Print();
-  std::printf(
-      "\nBatching defers both sides of an entry: PRECALL argument commits stage as\n"
-      "one contiguous write (\"precall coal.\") and POSTCALL results publish with a\n"
-      "single wakeup; divergence checks still see every entry's arguments before its\n"
-      "POSTCALL. The batch flushes before indefinitely-blocking calls (sockets,\n"
-      "pipes, sleeps), at monitored rounds, and via the kernel park hook; adaptive\n"
-      "grows the window only while slaves are not observed waiting at flushes.\n");
-}
-
-void RunServerBatchSweep(BenchJson* json) {
-  std::printf("\n== Ablation: per-rank batch window on a multi-rank server ==\n");
-  // Four epoll event-loop workers (nginx analog) with chatty per-request logging:
-  // every rank produces its own stream of small unmonitored writes, so each rank's
-  // batch window matters independently. The client keeps all workers busy.
-  ServerSpec server = ServerByName("nginx");
-  server.log_writes = 6;
-  ClientSpec client;
-  client.connections = 32;
-  client.total_requests = 600;
-  client.request_bytes = 512;
-  LinkParams link{Millis(1), 0.125};
-
-  RunConfig native;
-  native.mode = MveeMode::kNative;
-  ServerResult base = RunServerBench(server, client, native, link);
-
-  Table table({"batch max", "normalized time", "batched entries", "flushes",
-               "window +/-", "park flushes"});
-  for (const BatchPoint& point : kBatchPoints) {
-    RunConfig config;
-    config.mode = MveeMode::kRemon;
-    config.replicas = 3;
-    config.level = PolicyLevel::kSocketRw;
-    config.rb_batch_max = point.batch_max;
-    config.rb_batch_policy = point.policy;
-    ServerResult run = RunServerBench(server, client, config, link);
-    char window[32];
-    std::snprintf(window, sizeof(window), "+%llu/-%llu",
-                  static_cast<unsigned long long>(run.stats.rb_batch_window_grows),
-                  static_cast<unsigned long long>(run.stats.rb_batch_window_shrinks));
-    table.AddRow({point.label,
-                  Table::Num(base.seconds > 0 ? run.seconds / base.seconds : -1),
-                  Table::Num(static_cast<double>(run.stats.rb_batched_entries), 0),
-                  Table::Num(static_cast<double>(run.stats.rb_batch_flushes), 0),
-                  window,
-                  Table::Num(static_cast<double>(run.stats.rb_park_flushes), 0)});
-    if (base.seconds > 0) {
-      json->Add(std::string("server_batch/") + point.label + "/normalized_time",
-                run.seconds / base.seconds, "x");
-    }
-  }
-  table.Print();
-  std::printf(
-      "\nAdaptive should match or beat the best fixed window here: ranks whose\n"
-      "slaves keep pace grow toward the ceiling, ranks with parked waiters at\n"
-      "flush points shrink back toward per-entry publication.\n");
-}
-
 void RunRemoteLinkSweep(BenchJson* json) {
   std::printf("\n== Ablation: cross-machine replica set, RB-link latency sweep ==\n");
   // A 3-rank replica set with one remote rank (--placement=machine:1): the RB
-  // stream to the remote slave rides the simulated network as RbWireCodec frames,
-  // one per flush. The sweep shows adaptive batching degrading gracefully as the
-  // leader <-> replica-host link slows: stalls feed the AIMD window, coalescing
-  // more entries per frame instead of paying per-entry round trips.
+  // stream to the remote slave rides the simulated network as RbWireCodec
+  // frames. The transport merges publications into frames that have not been
+  // sent yet, so a backlogged link sends fewer, larger frames.
   ServerSpec server = ServerByName("nginx");
   server.log_writes = 4;
   ClientSpec client;
@@ -142,46 +31,36 @@ void RunRemoteLinkSweep(BenchJson* json) {
   native.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, client_link);
 
-  Table table({"link latency", "policy", "normalized time", "frames", "frame KiB",
-               "window +"});
+  Table table({"link latency", "normalized time", "frames", "frame KiB"});
   for (int latency_us : {0, 50, 500}) {
-    for (const BatchPoint& point :
-         {BatchPoint{"unbatched", 0, RbBatchPolicy::kFixed},
-          BatchPoint{"adaptive", 16, RbBatchPolicy::kAdaptive}}) {
-      RunConfig config;
-      config.mode = MveeMode::kRemon;
-      config.replicas = 3;
-      config.level = PolicyLevel::kSocketRw;
-      config.rb_batch_max = point.batch_max;
-      config.rb_batch_policy = point.policy;
-      config.placement = {1};
-      config.rb_link_latency = static_cast<DurationNs>(latency_us) * kMicrosecond;
-      ServerResult run = RunServerBench(server, client, config, client_link);
-      char label[32];
-      std::snprintf(label, sizeof(label), "%d us", latency_us);
-      table.AddRow(
-          {label, point.label,
-           Table::Num(base.seconds > 0 && !run.diverged ? run.seconds / base.seconds
-                                                        : -1),
-           Table::Num(static_cast<double>(run.stats.rb_frames_sent), 0),
-           Table::Num(static_cast<double>(run.stats.rb_frame_bytes_sent) / 1024.0, 0),
-           Table::Num(static_cast<double>(run.stats.rb_batch_window_grows), 0)});
-      if (base.seconds > 0 && !run.diverged) {
-        json->Add("link/" + std::to_string(latency_us) + "us/" + point.label +
-                      "/normalized_time",
-                  run.seconds / base.seconds, "x");
-      }
+    RunConfig config;
+    config.mode = MveeMode::kRemon;
+    config.replicas = 3;
+    config.level = PolicyLevel::kSocketRw;
+    config.placement = {1};
+    config.rb_link_latency = static_cast<DurationNs>(latency_us) * kMicrosecond;
+    ServerResult run = RunServerBench(server, client, config, client_link);
+    char label[32];
+    std::snprintf(label, sizeof(label), "%d us", latency_us);
+    table.AddRow(
+        {label,
+         Table::Num(base.seconds > 0 && !run.diverged ? run.seconds / base.seconds : -1),
+         Table::Num(static_cast<double>(run.stats.rb_frames_sent), 0),
+         Table::Num(static_cast<double>(run.stats.rb_frame_bytes_sent) / 1024.0, 0)});
+    if (base.seconds > 0 && !run.diverged) {
+      json->Add("link/" + std::to_string(latency_us) + "us/normalized_time",
+                run.seconds / base.seconds, "x");
     }
   }
   table.Print();
   std::printf(
-      "\nOne flush = one frame: the adaptive batch window doubles as the network\n"
-      "coalescing window (fewer, larger frames). The leader never waits on the\n"
-      "link itself: the RB reset round and the sync-log wrap gate bound how far\n"
-      "the remote replica lags, so a slow link costs only where a lockstep round\n"
-      "or one of those gates waits for it. Reproduce one point with:\n"
+      "\nFrames merge while unsent: a backlogged link carries fewer, larger\n"
+      "frames. The leader never waits on the link itself: the RB reset round and\n"
+      "the sync-log wrap gate bound how far the remote replica lags, so a slow\n"
+      "link costs only where a lockstep round or one of those gates waits for it.\n"
+      "Reproduce one point with:\n"
       "  remon_cli --server=nginx --replicas=3 --placement=machine:1 \\\n"
-      "            --rb-batch=adaptive --rb-link-latency-us=500\n");
+      "            --rb-link-latency-us=500\n");
 }
 
 void RunReseedSweep(BenchJson* json) {
@@ -206,8 +85,6 @@ void RunReseedSweep(BenchJson* json) {
   config.mode = MveeMode::kRemon;
   config.replicas = 3;
   config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {1};
   config.rb_link_latency = 50 * kMicrosecond;
 
@@ -237,7 +114,7 @@ void RunReseedSweep(BenchJson* json) {
       "checkpoints its RB at a quiescent flush point and the replacement joins at\n"
       "the post-bump epoch (docs/RB_WIRE_FORMAT.md). Reproduce with:\n"
       "  remon_cli --server=nginx --replicas=3 --placement=machine:1 \\\n"
-      "            --rb-batch=adaptive --respawn-on-death --kill-replica-at-ms=2\n");
+      "            --respawn-on-death --kill-replica-at-ms=2\n");
 }
 
 void RunReseedDeltaSweep(BenchJson* json) {
@@ -268,8 +145,6 @@ void RunReseedDeltaSweep(BenchJson* json) {
       config.mode = MveeMode::kRemon;
       config.replicas = 2;
       config.level = PolicyLevel::kNonsocketRw;
-      config.rb_batch_max = 16;
-      config.rb_batch_policy = RbBatchPolicy::kAdaptive;
       config.placement = {1};
       config.rb_link_latency = 50 * kMicrosecond;
       config.rb_size = kb * 1024;
@@ -370,8 +245,6 @@ void Run(BenchJson* json) {
   std::printf(
       "\nEach reset is a monitored kRemonRbFlush round (all replicas synchronize at\n"
       "GHUMVEE); the default 16 MiB makes resets negligible, as the paper assumes.\n");
-  RunBatchSweep(json);
-  RunServerBatchSweep(json);
   RunRemoteLinkSweep(json);
   RunReseedSweep(json);
   RunReseedDeltaSweep(json);

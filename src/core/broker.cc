@@ -38,7 +38,8 @@ bool IkBroker::Intercept(Thread* t) {
   }
   // Temporal exemption can admit additional, repeatedly-approved calls — but never
   // the forced-CP set, and only calls IP-MON can replicate (checked by MayExempt).
-  if (!route_ipmon && temporal_ != nullptr && temporal_->MayExempt(nr, p->replica_index)) {
+  if (!route_ipmon && temporal_ != nullptr &&
+      temporal_->MayExempt(nr, p->replica_index, t->rank())) {
     route_ipmon = true;
     temporal_exempt = true;
   }
@@ -77,7 +78,6 @@ uint64_t IkBroker::IssueToken(Thread* t) {
 
 bool IkBroker::VerifyToken(Thread* t, uint64_t token, Sys restarted_nr) {
   SimStats& stats = kernel_->stats();
-  ++stats.tokens_verified;
   // The token must be intact, and the restarted call must be the forwarded one: a
   // different call (or a replayed/guessed token) is revoked and forced to GHUMVEE.
   if (t->ipmon_token_valid && token == t->ipmon_token && t->cur_req.nr == restarted_nr) {

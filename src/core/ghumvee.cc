@@ -153,14 +153,6 @@ GuestTask<void> Ghumvee::HandleEntryStop(Thread* t) {
   int rank = t->rank();
   int ridx = ReplicaIndexOf(t->process());
   REMON_CHECK(ridx >= 0);
-  if (ridx == 0 && !ipmons_.empty() && ipmons_[0] != nullptr) {
-    // The master entering a monitored call leaves the IP-MON fast path: publish any
-    // batched RB results first, or the slaves could sit spinning on deferred entries
-    // while the master parks in this lockstep round.
-    if (ipmons_[0]->FlushRbBatches() > 0) {
-      co_await Work(kernel_->sim()->costs().futex_wake_ns);
-    }
-  }
   RankState& rs = ranks_[rank];
   if (rs.pending.empty()) {
     rs.pending.assign(static_cast<size_t>(num_replicas()), nullptr);
@@ -237,6 +229,9 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
       Divergence(rank, nr, "argument signature mismatch across replicas");
       co_return;
     }
+  }
+  if (shutdown_) {
+    co_return;  // Another rank diverged during the compare: the replicas are gone.
   }
   if (temporal_ != nullptr) {
     temporal_->RecordApproval(nr);
@@ -384,6 +379,9 @@ GuestTask<void> Ghumvee::ReplicateMasterResults(RankState& rs, Thread* master_th
       kernel_->TracerWrite(replicas_[static_cast<size_t>(i)], slave_regions[r].addr,
                            data.data(), std::min<uint64_t>(data.size(), slave_regions[r].len));
       co_await Work(costs.VmCopyCost(data.size()));
+    }
+    if (shutdown_) {
+      co_return;  // Another rank diverged during the copies: the replicas are gone.
     }
     // Abort the slave's call and inject the master's return value.
     PtraceAction a;

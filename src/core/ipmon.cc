@@ -40,11 +40,7 @@ IpMon::IpMon(Kernel* kernel, IkBroker* broker, RelaxationPolicy policy, FileMap*
       broker_(broker),
       policy_(policy),
       file_map_(file_map),
-      config_(config) {
-  if (config_.rb_batch_policy == RbBatchPolicy::kAdaptive && config_.rb_batch_max <= 0) {
-    config_.rb_batch_max = 16;  // Adaptive with no explicit ceiling: a sane default.
-  }
-}
+      config_(config) {}
 
 GuestTask<void> IpMon::Initialize(Guest& g) {
   process_ = g.process();
@@ -59,7 +55,6 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
   cursor_.assign(static_cast<size_t>(config_.max_ranks), 0);
   seq_.assign(static_cast<size_t>(config_.max_ranks), 0);
   varan_flush_gen_.assign(static_cast<size_t>(config_.max_ranks), 0);
-  batch_.assign(static_cast<size_t>(config_.max_ranks), RbBatch{});
   for (int r = 0; r < config_.max_ranks; ++r) {
     cursor_[static_cast<size_t>(r)] = rb_.RankDataStart(r);
   }
@@ -90,40 +85,6 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
                                   static_cast<uint64_t>(rb_addr), config_.entry_cookie);
   REMON_CHECK_MSG(rc == 0, "IP-MON registration rejected");
 
-  // Liveness backstop for batched publication: if a master thread is about to park
-  // in the kernel for any reason — including one the blocking prediction missed —
-  // its rank's deferred commits publish first, so no slave can wait forever on an
-  // entry whose publisher is asleep. The predictive flush points make this a rare
-  // no-op; the hook makes it a guarantee.
-  if (is_master() && config_.mode == IpmonMode::kRemon &&
-      (config_.rb_batch_max > 0 || sync_log_flush_)) {
-    // The hook lives in the kernel-owned Process, which neither owns nor is owned
-    // by this IpMon — either can be destroyed first. The weak sentinel turns the
-    // hook into a no-op once the IpMon is gone instead of a dangling call.
-    process_->ipmon.on_park = [this, weak = std::weak_ptr<char>(park_guard_)](Thread* t) {
-      if (weak.expired()) {
-        return;
-      }
-      int rank = t->rank();
-      if (static_cast<size_t>(rank) < batch_.size() &&
-          !batch_[static_cast<size_t>(rank)].empty()) {
-        ++kernel_->stats().rb_park_flushes;
-        uint32_t waiters = FlushRbBatch(rank);
-        if (waiters > 0) {
-          // Same FUTEX_WAKE price every in-path flush pays (the hook is a plain
-          // callback, so charge the core directly instead of awaiting ThreadCost);
-          // the ablation columns stay comparable across flush sites.
-          kernel_->RunOnThreadCore(t, kernel_->sim()->costs().futex_wake_ns, [] {});
-        }
-      }
-      if (sync_log_flush_) {
-        // Same liveness contract for the sync-log stream: whatever parked this
-        // thread, its coalesced sync records publish before it sleeps.
-        sync_log_flush_();
-      }
-    };
-  }
-
   if (on_initialized_) {
     on_initialized_();
   }
@@ -135,18 +96,6 @@ WaitQueue* IpMon::StateWordQueue(uint64_t entry_off) {
       process_->mem().ResolveFrame(rb_.AddrOf(entry_off + kRbOffState), &off_in_page);
   REMON_CHECK(frame != nullptr);
   return &kernel_->futex().QueueFor(frame, off_in_page);
-}
-
-bool IpMon::MaySleepIndefinitely(const SyscallRequest& req) const {
-  if (!PredictBlocking(req, *file_map_)) {
-    return false;
-  }
-  const SyscallDesc& d = DescOf(req.nr);
-  if (d.block == BlockPred::kFdNonblocking) {
-    FdType ft = file_map_->TypeOf(static_cast<int>(req.arg(d.fd_arg)));
-    return ft != FdType::kRegular && ft != FdType::kDirectory;
-  }
-  return true;  // Explicit sleeps (nanosleep/select/poll/futex/...) are unbounded.
 }
 
 bool IpMon::NeedsGhumvee(Thread* t, const SyscallRequest& req) const {
@@ -267,16 +216,8 @@ GuestTask<void> IpMon::HandleCall(Thread* t, SyscallRequest req, uint64_t token,
   }
 
   // Process-local calls (futex, nanosleep, ...): every replica executes its own,
-  // using its one-time token; nothing to replicate. A local call can sleep
-  // indefinitely (futex, nanosleep), so the master publishes its pending batch
-  // first — a slave could otherwise wait forever on a deferred result.
+  // using its one-time token; nothing to replicate.
   if (RelaxationPolicy::IsLocalCall(req.nr)) {
-    // Guarded so the batching-disabled default pays no coroutine frame here.
-    if (is_master() && config_.rb_batch_max > 0 &&
-        static_cast<size_t>(t->rank()) < batch_.size() &&
-        !batch_[static_cast<size_t>(t->rank())].empty()) {
-      co_await FlushBatchCharged(t, t->rank());
-    }
     int64_t r;
     if (broker_->VerifyToken(t, token, req.nr)) {
       r = co_await ExecDirect{t, req};
@@ -305,132 +246,21 @@ GuestTask<void> IpMon::HandleCall(Thread* t, SyscallRequest req, uint64_t token,
   t->in_ipmon = false;
 }
 
-int IpMon::BatchWindow(int rank) const {
-  if (config_.rb_batch_policy != RbBatchPolicy::kAdaptive) {
-    return config_.rb_batch_max;
+void IpMon::EmitToTransport(int rank, uint64_t entry_off, uint32_t state) {
+  if (transport_ == nullptr || transport_->live_remotes() == 0) {
+    return;  // No one to ship to: skip the image read entirely.
   }
-  if (static_cast<size_t>(rank) >= batch_.size()) {
-    return 1;
-  }
-  int w = batch_[static_cast<size_t>(rank)].window();
-  return w < config_.rb_batch_max ? w : config_.rb_batch_max;
-}
-
-void IpMon::EmitToTransport(int rank,
-                            const std::vector<std::pair<uint64_t, uint32_t>>& pubs) {
-  if (transport_ == nullptr || pubs.empty() || transport_->live_remotes() == 0) {
-    return;  // No one to ship to: skip the image reads entirely.
-  }
-  std::vector<RbWireEntry> entries;
-  entries.reserve(pubs.size());
-  for (const auto& [entry_off, state] : pubs) {
-    uint64_t sig_len = rb_.ReadU64(entry_off + kRbOffSigLen);
-    uint64_t out_len =
-        state == kRbResultsReady ? rb_.ReadU64(entry_off + kRbOffOutLen) : 0;
-    RbWireEntry e;
-    e.entry_off = entry_off;
-    e.final_state = state;
-    e.image.resize(kRbEntryHeaderSize + sig_len + out_len);
-    rb_.ReadBytes(entry_off, e.image.data(), e.image.size());
-    entries.push_back(std::move(e));
-  }
-  transport_->SendEntries(rank, entries);
-}
-
-uint32_t IpMon::FlushRbBatch(int rank) {
-  if (static_cast<size_t>(rank) >= batch_.size()) {
-    return 0;  // Pre-Initialize (batching not set up yet): nothing pending.
-  }
-  RbBatch& batch = batch_[static_cast<size_t>(rank)];
-  if (batch.empty()) {
-    return 0;
-  }
-  SimStats& stats = kernel_->stats();
-  // Waiter-pressure observation, taken before the flips: kRbOffWaiters counts the
-  // slaves parked in futex waits on the covered entries (summed by Commit); any
-  // extra tasks sleeping on the state-word queues are spin-waiters (the simulator
-  // parks spinners on the same queue and charges spin-iteration costs on wake).
-  // Only the adaptive policy consumes the observation, so only it pays for the
-  // per-slot frame-resolve + futex-queue lookups.
-  const bool adaptive = config_.rb_batch_policy == RbBatchPolicy::kAdaptive;
-  uint32_t sleepers = 0;
-  // Resolved once per slot; the wake loop below reuses them instead of paying the
-  // frame-resolve + futex-map lookup a second time.
-  std::vector<WaitQueue*> queues;
-  queues.reserve(batch.size());
-  for (const RbBatch::Slot& s : batch.slots()) {
-    queues.push_back(StateWordQueue(s.entry_off));
-  }
-  if (adaptive) {
-    for (WaitQueue* q : queues) {
-      sleepers += static_cast<uint32_t>(q->waiter_count());
-    }
-  }
-  // The coalesced publication: payloads + results land in one pass, the state words
-  // flip oldest-to-newest — args-only slots to kRbArgsReady, the rest straight to
-  // kRbResultsReady — then every covered entry's condvar gets its (single
-  // amortized) wakeup. "Elided" counts result publications that issued no
-  // FUTEX_WAKE of their own — the same meaning as on the eager path, so the
-  // ablation columns compare: a flush with waiters spends one wake for
-  // results_pending() entries.
-  uint32_t waiters = batch.Commit(rb_);
-  uint64_t result_publications = batch.results_pending();
-  if (transport_ != nullptr) {
-    // One flush = one frame: the adaptive batch window doubles as the network
-    // coalescing window, so remote agents see exactly the publications the local
-    // slaves see, in one wire message.
-    std::vector<std::pair<uint64_t, uint32_t>> pubs;
-    pubs.reserve(batch.size());
-    for (const RbBatch::Slot& s : batch.slots()) {
-      pubs.emplace_back(s.entry_off,
-                        s.results_pending ? kRbResultsReady : kRbArgsReady);
-    }
-    EmitToTransport(rank, pubs);
-  }
-  if (adaptive) {
-    uint32_t spinners = sleepers > waiters ? sleepers - waiters : 0;
-    int delta = batch.ObservePressure(waiters, spinners, config_.rb_batch_max);
-    if (delta > 0) {
-      ++stats.rb_batch_window_grows;
-    } else if (delta < 0) {
-      ++stats.rb_batch_window_shrinks;
-    }
-  }
-  batch.Take();
-  for (WaitQueue* q : queues) {
-    q->Wake();
-  }
-  ++stats.rb_batch_flushes;
-  if (result_publications > (waiters > 0 ? 1u : 0u)) {
-    stats.rb_futex_wakes_elided += result_publications - (waiters > 0 ? 1 : 0);
-  }
-  return waiters;
-}
-
-uint32_t IpMon::FlushRbBatches() {
-  uint32_t waiters = 0;
-  for (size_t r = 0; r < batch_.size(); ++r) {
-    waiters += FlushRbBatch(static_cast<int>(r));
-  }
-  if (sync_log_flush_) {
-    // Leaving the fast path quiesces the sync-log stream too (monitored-call
-    // entry, RB migration, checkpoint capture): remote slaves never wait on a
-    // sync op coalesced behind a master that went off to lockstep.
-    sync_log_flush_();
-  }
-  return waiters;
-}
-
-GuestTask<void> IpMon::FlushBatchCharged(Thread* t, int rank) {
-  if (FlushRbBatch(rank) > 0) {
-    co_await ThreadCost{t, kernel_->sim()->costs().futex_wake_ns};
-  }
+  uint64_t sig_len = rb_.ReadU64(entry_off + kRbOffSigLen);
+  uint64_t out_len = state == kRbResultsReady ? rb_.ReadU64(entry_off + kRbOffOutLen) : 0;
+  RbWireEntry e;
+  e.entry_off = entry_off;
+  e.final_state = state;
+  e.image.resize(kRbEntryHeaderSize + sig_len + out_len);
+  rb_.ReadBytes(entry_off, e.image.data(), e.image.size());
+  transport_->SendEntry(rank, std::move(e));
 }
 
 GuestTask<void> IpMon::ForwardToGhumvee(Thread* t, SyscallRequest req) {
-  // Leaving the fast path: slaves must not be left spinning on deferred results
-  // while this thread parks in a GHUMVEE lockstep round.
-  co_await FlushBatchCharged(t, t->rank());
   // Fig. 2, 4': destroy the token and restart; IK-B routes the restarted call to
   // GHUMVEE, which handles it like a regular CP-MVEE call.
   broker_->RevokeToken(t);
@@ -458,29 +288,10 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     co_return;
   }
 
-  // Batched publication (Config::rb_batch_max): a small bounded-latency call may
-  // defer both its PRECALL args-ready publication and its POSTCALL wakeup into the
-  // rank's batch. Oversized calls and calls that can park the master indefinitely
-  // (blocked socket/pipe reads, explicit sleeps) publish every deferred entry
-  // first — the slaves must never sit on deferred entries across an unbounded
-  // master sleep. Together with the other flush points (local calls, GHUMVEE
-  // forwards, RB overflow, monitored entry stops, the kernel park hook) this
-  // bounds how long a deferred publication can stay invisible.
   bool predict_block = PredictBlocking(req, *file_map_);
-  bool batchable = config_.rb_batch_max > 0 &&
-                   out_cap + 16 <= config_.rb_batch_entry_bytes &&
-                   !MaySleepIndefinitely(req);
-  if (config_.rb_batch_max > 0 && !batchable &&
-      !batch_[static_cast<size_t>(rank)].empty()) {
-    co_await FlushBatchCharged(t, rank);
-  }
-
   while (cursor_[static_cast<size_t>(rank)] + entry_size > rb_.RankDataEnd(rank)) {
-    // Linear RB exhausted: GHUMVEE arbitrates the reset (paper §3.2). Slaves must be
-    // able to drain every published entry before the reset round, so the batch goes
-    // out first. The reset trip consumes the authorization; IK-B grants a fresh
-    // token on re-entry.
-    co_await FlushBatchCharged(t, rank);
+    // Linear RB exhausted: GHUMVEE arbitrates the reset (paper §3.2). The reset
+    // trip consumes the authorization; IK-B grants a fresh token on re-entry.
     broker_->RevokeToken(t);
     co_await ExecTraced{t, SyscallRequest{Sys::kRemonRbFlush,
                                           {static_cast<uint64_t>(rank), 0, 0, 0, 0, 0}}};
@@ -504,24 +315,13 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     flags |= kRbFlagForwarded;
   }
 
-  // PRECALL: log arguments + metadata. A batchable call stages the bytes into the
-  // RB (contiguous plain writes, no flag flip, no wake) and defers the args-ready
-  // publication into the rank's batch; everything else commits and wakes eagerly.
-  // Either way the argument bytes are in the RB before execution, so a slave's
-  // divergence check always sees this entry's arguments before its POSTCALL.
-  bool args_deferred = batchable && !signals_pending;
-  if (args_deferred) {
-    RbEntryOps::StageArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
-    batch_[static_cast<size_t>(rank)].StageArgs(entry_off);
-    ++stats.rb_precall_coalesced;
-  } else {
-    RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
-  }
+  // PRECALL: log arguments + metadata, then wake any slave that ran ahead. The
+  // argument bytes are in the RB before execution, so a slave's divergence check
+  // always sees this entry's arguments before its POSTCALL.
+  RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
   co_await ThreadCost{t, costs.rb_entry_ns};
-  if (!args_deferred) {
-    StateWordQueue(entry_off)->Wake();
-    EmitToTransport(rank, {{entry_off, kRbArgsReady}});
-  }
+  StateWordQueue(entry_off)->Wake();
+  EmitToTransport(rank, entry_off, kRbArgsReady);
   ++stats.rb_entries;
   stats.rb_bytes += entry_size;
 
@@ -530,7 +330,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     // monitor gets its synchronization point. The forwarded stub keeps slaves in step.
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
     StateWordQueue(entry_off)->Wake();
-    EmitToTransport(rank, {{entry_off, kRbResultsReady}});
+    EmitToTransport(rank, entry_off, kRbResultsReady);
     forward_reason_ = "signals_pending";
     co_await ForwardToGhumvee(t, req);
     co_return;
@@ -541,15 +341,11 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   if (!broker_->VerifyToken(t, token, req.nr)) {
     // Token invalid (revoked / forged / wrong call): forced CP execution. Publish a
     // forwarded stub so the slaves follow to GHUMVEE instead of waiting on the RB.
-    // Flush first: the stub must land on an entry the batch no longer owns (a
-    // later flush would downgrade its state word), and older deferred entries must
-    // publish before this one forwards.
-    co_await FlushBatchCharged(t, rank);
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
     StateWordQueue(entry_off)->Wake();
-    EmitToTransport(rank, {{entry_off, kRbResultsReady}});
+    EmitToTransport(rank, entry_off, kRbResultsReady);
     forward_reason_ = "token_invalid";
     co_await ForwardToGhumvee(t, req);
     co_return;
@@ -559,45 +355,27 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
 
   if (r == -kEINTR && rb_.SignalsPending()) {
     // §3.8: the blocking call was aborted for signal delivery. Mark the entry
-    // forwarded (slaves will follow us to GHUMVEE) and restart monitored. The park
-    // hook flushed the batch when the call blocked, but an interruptible call can
-    // also abort pre-park, so publish any deferrals (this entry's included) first.
-    co_await FlushBatchCharged(t, rank);
+    // forwarded (slaves will follow us to GHUMVEE) and restart monitored.
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
     StateWordQueue(entry_off)->Wake();
-    EmitToTransport(rank, {{entry_off, kRbResultsReady}});
+    EmitToTransport(rank, entry_off, kRbResultsReady);
     forward_reason_ = "eintr_restart";
     co_await ForwardToGhumvee(t, req);
     co_return;
   }
 
-  // POSTCALL: replicate results — eagerly, or deferred into the rank's batch.
+  // POSTCALL: replicate results, waking the slaves only when one waits (§3.7).
   std::vector<uint8_t> payload = BuildResultPayload(req, r);
   co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
-  if (batchable && payload.size() <= config_.rb_batch_entry_bytes) {
-    RbBatch& batch = batch_[static_cast<size_t>(rank)];
-    batch.AddResults(entry_off, r, std::move(payload));
-    ++stats.rb_batched_entries;
-    if (static_cast<int>(batch.size()) >= BatchWindow(rank)) {
-      // One coalesced publication: a single FUTEX_WAKE covers every batched entry.
-      co_await FlushBatchCharged(t, rank);
-    }
+  uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
+  StateWordQueue(entry_off)->Wake();  // Memory visibility (free in real hardware).
+  EmitToTransport(rank, entry_off, kRbResultsReady);
+  if (waiters > 0) {
+    co_await ThreadCost{t, costs.futex_wake_ns};  // FUTEX_WAKE needed.
   } else {
-    if (batch_[static_cast<size_t>(rank)].ArgsDeferred(entry_off)) {
-      // The payload outgrew the batch limit after the args were staged: publish the
-      // deferred side first so the eager commit below cannot be downgraded later.
-      co_await FlushBatchCharged(t, rank);
-    }
-    uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
-    StateWordQueue(entry_off)->Wake();  // Memory visibility (free in real hardware).
-    EmitToTransport(rank, {{entry_off, kRbResultsReady}});
-    if (waiters > 0) {
-      co_await ThreadCost{t, costs.futex_wake_ns};  // FUTEX_WAKE needed.
-    } else {
-      ++stats.rb_futex_wakes_elided;
-    }
+    ++stats.rb_futex_wakes_elided;
   }
   ++stats.syscalls_unmonitored;
   ++stats.syscalls_mastercall;
@@ -693,8 +471,6 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) 
 void IpMon::OnRbReset(int rank) {
   ++rb_resets_;
   if (is_master()) {
-    // Normally empty by now (the overflow trip flushes); defensive for direct calls.
-    FlushRbBatch(rank);
     ++kernel_->stats().rb_resets;
     // Zero the data area once (shared frames: visible to every leader-local replica).
     rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
@@ -713,7 +489,6 @@ GuestAddr IpMon::MigrateRb() {
   if (!rb_.valid()) {
     return 0;
   }
-  FlushRbBatches();  // Entry offsets survive the move, but publish before remapping.
   AddressSpace& mem = process_->mem();
   std::vector<PageRef> frames = mem.FramesFor(rb_.base(), rb_.size());
   if (frames.empty()) {

@@ -18,6 +18,7 @@
 #include <map>
 #include <utility>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "src/kernel/sysno.h"
@@ -105,17 +106,19 @@ class TemporalExemptionState {
   // Called when GHUMVEE approves a monitored call.
   void RecordApproval(Sys nr) { ++approvals_[static_cast<size_t>(nr)]; }
 
-  // Decides whether replica `replica_index`'s next instance of `nr` may skip
-  // monitoring. The first replica to reach a given invocation index draws; the
-  // others reuse the cached decision. Never exempts calls IP-MON cannot replicate.
-  bool MayExempt(Sys nr, int replica_index) {
+  // Decides whether the next instance of `nr` made by thread `rank` of replica
+  // `replica_index` may skip monitoring. The first replica to reach a given
+  // (rank, call, invocation index) draws; the others reuse the cached decision.
+  // The index counts per thread rank: a replica's threads interleave differently
+  // in every replica, so a count over all of them would pair different logical
+  // calls across replicas. Never exempts calls IP-MON cannot replicate.
+  bool MayExempt(Sys nr, int replica_index, int rank) {
     if (!policy_.enabled || !RelaxationPolicy::IpmonSupports(nr) ||
         RelaxationPolicy::ForcedCpCall(nr)) {
       return false;
     }
-    // Per-replica invocation index for this call number.
-    uint64_t index = per_replica_counts_[{replica_index, nr}]++;
-    auto key = std::pair<uint32_t, uint64_t>(static_cast<uint32_t>(nr), index);
+    uint64_t index = per_thread_counts_[{replica_index, rank, nr}]++;
+    auto key = std::tuple<int, Sys, uint64_t>(rank, nr, index);
     auto it = decisions_.find(key);
     bool decision;
     if (it != decisions_.end()) {
@@ -141,8 +144,8 @@ class TemporalExemptionState {
   Rng* rng_;
   int num_replicas_;
   std::vector<uint64_t> approvals_;
-  std::map<std::pair<int, Sys>, uint64_t> per_replica_counts_;
-  std::map<std::pair<uint32_t, uint64_t>, std::pair<bool, int>> decisions_;
+  std::map<std::tuple<int, int, Sys>, uint64_t> per_thread_counts_;
+  std::map<std::tuple<int, Sys, uint64_t>, std::pair<bool, int>> decisions_;
 };
 
 }  // namespace remon

@@ -17,6 +17,13 @@ namespace {
 // Per-read chunk while draining a socket's receive buffer.
 constexpr size_t kReadChunk = 4096;
 
+// An open frame takes merges until its payload would pass this size. A frame
+// only stays open while the link is backlogged, so the cap bounds how long its
+// first publication waits for its last to be serialized; it is far below
+// kRbWireMaxPayload. A single publication larger than the cap gets a frame of
+// its own.
+constexpr size_t kMergeCapBytes = 64 * 1024;
+
 // Writes as much of `q` (with partial-write offset `*head_off`) into `sock` as the
 // flow-control window accepts. Returns false on a hard write error (peer gone).
 bool DrainSendQueue(StreamSocket* sock, std::deque<std::vector<uint8_t>>* q,
@@ -126,7 +133,9 @@ void RbTransport::EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snaps
   // The checkpoint leads the stream: every data frame published from here on
   // queues behind it, so the mirror the replacement reconstructs is the leader's
   // RB at the capture point plus, in order, everything after it. Snapshot frames
-  // take normal sequence numbers and cumulative acks, exactly like entry traffic.
+  // take normal sequence numbers and cumulative acks, exactly like entry traffic;
+  // they are stamped here, which also keeps later data from merging ahead of them.
+  REMON_CHECK_MSG(r.sendq.empty(), "a checkpoint must lead its connection's stream");
   SimStats& stats = kernel_->stats();
   auto enqueue = [&](RbFrameType type, const std::vector<uint8_t>& payload) {
     uint64_t seq = ++r.frames_sent;
@@ -143,7 +152,9 @@ void RbTransport::EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snaps
     RbEpochStats& row = stats.EpochRow(epoch_);
     ++row.frames_sent;
     ++row.snapshot_frames;
-    r.sendq.push_back(std::move(frame));
+    QueuedFrame& q = r.sendq.emplace_back();
+    q.type = type;
+    q.wire = std::move(frame);
   };
   enqueue(RbFrameType::kSnapshotDelta, snapshot.begin);
   for (const std::vector<uint8_t>& chunk : snapshot.chunks) {
@@ -210,36 +221,44 @@ void RbTransport::RefuseAttestedJoin(int replica_index, const char* reason) {
   MarkDead(*r, reason);
 }
 
-void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries) {
-  if (entries.empty() || live_remotes() == 0) {
+void RbTransport::SendEntry(int rank, RbWireEntry entry) {
+  if (live_remotes() == 0) {
     return;
   }
-  SimStats& stats = kernel_->stats();
-  // Broadcast: the payload (entry records + images) is serialized once; only the
-  // per-connection header (frame_seq) and CRC differ per remote.
-  std::vector<uint8_t> payload = RbWireCodec::EncodeEntriesPayload(entries);
-  // Ack-horizon metadata: entries within a rank publish in offset order, so one
-  // acked frame advances the rank's delta horizon to its highest entry offset.
-  uint64_t max_off = 0;
-  for (const RbWireEntry& e : entries) {
-    max_off = std::max(max_off, e.entry_off);
-  }
-  RbLeaderClock clock = leader_clock_ ? leader_clock_() : RbLeaderClock{};
+  // The record (header + image) is serialized once and appended to each remote's
+  // queue; frame header, frame_seq and CRC come when a frame is stamped.
+  const uint64_t entry_off = entry.entry_off;
+  const bool results = entry.final_state == kRbResultsReady;
+  std::vector<uint8_t> record = RbWireCodec::EncodeEntriesPayload({std::move(entry)});
   for (auto& r : remotes_) {
     if (r->dead || r->awaiting_snapshot) {
       continue;  // A replacement's stream starts with its checkpoint, never data.
     }
-    uint64_t seq = ++r->frames_sent;
-    std::vector<uint8_t> frame = RbWireCodec::EntriesFrameFromPayload(
-        epoch_, static_cast<uint32_t>(rank), seq,
-        static_cast<uint32_t>(entries.size()), payload);
-    Seal(&frame);
-    ++stats.rb_frames_sent;
-    stats.rb_frame_bytes_sent += frame.size();
-    ++stats.EpochRow(epoch_).frames_sent;
-    r->unacked.push_back(FrameMeta{seq, static_cast<uint32_t>(rank), max_off, clock});
-    r->sendq.push_back(std::move(frame));
-    Pump(*r);
+    bool idle = r->sendq.empty();
+    QueuedFrame* f = MergeTarget(*r, RbFrameType::kEntries, static_cast<uint32_t>(rank),
+                                 0, record.size());
+    if (f == nullptr) {
+      f = &r->sendq.emplace_back();
+      f->rank = static_cast<uint32_t>(rank);
+      f->clock = leader_clock_ ? leader_clock_() : RbLeaderClock{};
+    }
+    if (results && f->args_only_off == entry_off) {
+      f->payload.resize(f->last_record_at);  // Superseded by the results image.
+    } else {
+      ++f->count;
+    }
+    f->last_record_at = f->payload.size();
+    f->args_only_off = results ? 0 : entry_off;
+    f->payload.insert(f->payload.end(), record.begin(), record.end());
+    // Entries within a rank publish in offset order (within one RB lap, and a
+    // frame never spans a reset round of its rank: the remote applies every
+    // publication of the lap before it reaches the round).
+    f->max_entry_off = std::max(f->max_entry_off, entry_off);
+    // A queue that already holds frames is waiting on the socket window (or on
+    // the connect/attestation): the poll wake that frees it drains the queue.
+    if (idle) {
+      Pump(*r);
+    }
   }
 }
 
@@ -248,26 +267,87 @@ void RbTransport::SendSyncLog(uint64_t start_index,
   if (records.empty() || live_remotes() == 0) {
     return;
   }
-  SimStats& stats = kernel_->stats();
-  stats.sync_log_records_streamed += records.size();
-  // Broadcast: the record payload is serialized once; only the per-connection
-  // header (frame_seq) and CRC differ per remote.
+  kernel_->stats().sync_log_records_streamed += records.size();
+  // Serialized once: a new frame takes the whole payload, a merge only the
+  // records after its start_index header.
   std::vector<uint8_t> payload = RbWireCodec::EncodeSyncLogPayload(start_index, records);
+  const size_t record_bytes = payload.size() - kRbWireSyncHeaderSize;
   for (auto& r : remotes_) {
     if (r->dead || r->awaiting_snapshot) {
       continue;  // A replacement's stream starts with its checkpoint, never data.
     }
-    uint64_t seq = ++r->frames_sent;
-    std::vector<uint8_t> frame = RbWireCodec::SyncLogFrameFromPayload(
-        epoch_, seq, static_cast<uint32_t>(records.size()), payload);
-    Seal(&frame);
-    ++stats.rb_frames_sent;
-    ++stats.sync_log_frames_sent;
-    stats.rb_frame_bytes_sent += frame.size();
-    ++stats.EpochRow(epoch_).frames_sent;
-    r->sendq.push_back(std::move(frame));
-    Pump(*r);
+    bool idle = r->sendq.empty();
+    QueuedFrame* f =
+        MergeTarget(*r, RbFrameType::kSyncLog, 0, start_index, record_bytes);
+    if (f == nullptr) {
+      f = &r->sendq.emplace_back();
+      f->type = RbFrameType::kSyncLog;
+      f->payload = payload;
+    } else {
+      f->payload.insert(f->payload.end(), payload.begin() + kRbWireSyncHeaderSize,
+                        payload.end());
+    }
+    f->count += static_cast<uint32_t>(records.size());
+    f->sync_end = start_index + records.size();
+    if (idle) {
+      Pump(*r);
+    }
   }
+}
+
+RbTransport::QueuedFrame* RbTransport::MergeTarget(Remote& r, RbFrameType type,
+                                                   uint32_t rank, uint64_t sync_start,
+                                                   size_t add) {
+  // Only frames that have not started writing can change; they sit at the back.
+  for (auto it = r.sendq.rbegin(); it != r.sendq.rend() && it->wire.empty(); ++it) {
+    if (it->type != type || (type == RbFrameType::kEntries && it->rank != rank)) {
+      continue;
+    }
+    bool contiguous = type != RbFrameType::kSyncLog || it->sync_end == sync_start;
+    return contiguous && it->payload.size() + add <= kMergeCapBytes ? &*it : nullptr;
+  }
+  return nullptr;
+}
+
+void RbTransport::Stamp(Remote& r, QueuedFrame& f) {
+  SimStats& stats = kernel_->stats();
+  uint64_t seq = ++r.frames_sent;
+  if (f.type == RbFrameType::kEntries) {
+    f.wire =
+        RbWireCodec::EntriesFrameFromPayload(epoch_, f.rank, seq, f.count, f.payload);
+    r.unacked.push_back(FrameMeta{seq, f.rank, f.max_entry_off, f.clock});
+  } else {
+    f.wire = RbWireCodec::SyncLogFrameFromPayload(epoch_, seq, f.count, f.payload);
+    ++stats.sync_log_frames_sent;
+  }
+  f.payload = {};
+  Seal(&f.wire);
+  ++stats.rb_frames_sent;
+  stats.rb_frame_bytes_sent += f.wire.size();
+  ++stats.EpochRow(epoch_).frames_sent;
+}
+
+bool RbTransport::WriteQueued(Remote& r) {
+  while (!r.sendq.empty()) {
+    QueuedFrame& f = r.sendq.front();
+    if (f.wire.empty()) {
+      Stamp(r, f);  // Writing starts: the frame takes no more merges.
+    }
+    int64_t n = r.sock->Write(f.wire.data() + r.sendq_head_off,
+                              f.wire.size() - r.sendq_head_off, 0);
+    if (n == -kEAGAIN) {
+      return true;  // Window full; retry on the next poll wake.
+    }
+    if (n <= 0) {
+      return false;
+    }
+    r.sendq_head_off += static_cast<size_t>(n);
+    if (r.sendq_head_off == f.wire.size()) {
+      r.sendq.pop_front();
+      r.sendq_head_off = 0;
+    }
+  }
+  return true;
 }
 
 bool RbTransport::IsRemote(int replica_index) const {
@@ -438,7 +518,7 @@ void RbTransport::Pump(Remote& r) {
   // Authenticated streams write nothing before the join attestation verifies —
   // frames queue locally meanwhile.
   if (r.attested) {
-    if (!DrainSendQueue(r.sock.get(), &r.sendq, &r.sendq_head_off)) {
+    if (!WriteQueued(r)) {
       MarkDead(r, "write failed");
       return;
     }
@@ -513,7 +593,6 @@ void RbTransport::Pump(Remote& r) {
     // maximum is what the master's wraparound gate runs on.
     if (frame.ack_cursor > r.sync_cursor) {
       r.sync_cursor = frame.ack_cursor;
-      ++stats.sync_cursor_acks;
       if (on_sync_cursor_) {
         on_sync_cursor_(r.replica_index);
       }
@@ -557,7 +636,7 @@ bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
     // Frames enqueued while the attestation was in flight were held by this
     // pump's drain pass (it runs before the read loop); release them now, or the
     // link goes idle with the leader parked on acks that can never come.
-    if (!DrainSendQueue(r.sock.get(), &r.sendq, &r.sendq_head_off)) {
+    if (!WriteQueued(r)) {
       MarkDead(r, "write failed");
       return false;
     }
@@ -770,9 +849,6 @@ void RemoteSyncAgent::HandleSnapshotFrame(const RbWireFrame& frame) {
     case RbFrameType::kSnapshotChunk:
       ok = assembler_.AddChunk(frame.payload);
       why = assembler_.error();
-      if (ok) {
-        ++stats.rb_snapshot_chunks_applied;
-      }
       break;
     case RbFrameType::kSnapshotEnd: {
       ok = assembler_.End(frame.payload);
@@ -789,7 +865,6 @@ void RemoteSyncAgent::HandleSnapshotFrame(const RbWireFrame& frame) {
           ++stats.rb_replica_joins;
           ++stats.EpochRow(frame.epoch).joins;
           stats.rb_snapshot_entries_restored += res.entries_restored;
-          stats.rb_snapshot_epoll_lag += res.epoll_lag;
         }
       }
       assembler_.Reset();  // Completed or failed, the image buffer is done.

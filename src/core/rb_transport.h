@@ -6,8 +6,8 @@
 // the replication stream travels as RbWireCodec frames over a StreamSocket pair:
 //
 //   leader machine                               remote machine
-//   ┌────────────────────┐   frames (one per     ┌─────────────────────────┐
-//   │ master IP-MON      │   flush/publication)  │ RemoteSyncAgent         │
+//   ┌────────────────────┐   frames (merged      ┌─────────────────────────┐
+//   │ master IP-MON      │   while unsent)       │ RemoteSyncAgent         │
 //   │  └─ RbTransport ───┼──────────────────────▶│  └─ applies entry images│
 //   │     (send queue)   │◀──────────────────────┼─     into the RB mirror,│
 //   │                    │   cumulative acks     │      wakes futex waiters│
@@ -21,9 +21,20 @@
 //
 // Multi-threaded replicas additionally need the master's sync-agent log
 // (src/core/sync_agent.h): its appends stream as kSyncLog data frames over the
-// same connection — coalesced per flush like entry batches — and the remote agent
-// replays them into the replica's machine-local log mirror with the tail word
-// stored last, so BeforeAcquire replay is placement-transparent too.
+// same connection, and the remote agent replays them into the replica's
+// machine-local log mirror with the tail word stored last, so BeforeAcquire
+// replay is placement-transparent too.
+//
+// Frame merging: the master hands over every publication and every sync-log
+// append when it happens; the transport is the one place that coalesces them.
+// Per remote, a publication merges into the newest queued frame of its kind that
+// has not started writing (kEntries of the same rank, or kSyncLog continuing at
+// the next log index), up to a fixed payload cap; a results publication replaces
+// its entry's arguments-only record when that is the frame's last one. A frame
+// gets its frame_seq, its seal/CRC and its FrameMeta only when the pump starts
+// writing it, so an idle link sends one frame per publication and a backlogged
+// link sends fewer, larger ones. Merging never crosses a snapshot frame (those
+// are stamped when enqueued), and the wire format is the same either way.
 //
 // Lag bound: the transport itself never blocks the leader; its send queue is
 // bounded by the two gates that bound a remote slave's lag structurally. The RB
@@ -153,13 +164,18 @@ class RbTransport {
     on_attested_join_ = std::move(cb);
   }
 
-  // Broadcasts one publication — one frame — to every live remote. Never blocks:
-  // frames queue locally, bounded by the RB reset round (see the header comment).
-  void SendEntries(int rank, const std::vector<RbWireEntry>& entries);
+  // Queues one publication toward every live remote, merging it into an unsent
+  // kEntries frame of the same rank where one is open (see the header comment).
+  // A results publication whose entry's arguments-only record is the last one
+  // of that frame replaces the record: the receiver then flips the entry
+  // straight to results-ready, as a local slave would observe it after both
+  // commits. Never blocks: frames queue locally, bounded by the RB reset round.
+  void SendEntry(int rank, RbWireEntry entry);
 
-  // Broadcasts one sync-agent log flush — one kSyncLog frame — to every live
-  // remote. Sync frames are ordinary data frames: same sequence space, same
-  // cumulative acks as entry frames; the sync-log wrap gate bounds them.
+  // Queues sync-agent log records toward every live remote, merging them into an
+  // unsent kSyncLog frame that ends at `start_index`. Sync frames are ordinary
+  // data frames: same sequence space, same cumulative acks as entry frames; the
+  // sync-log wrap gate bounds them.
   void SendSyncLog(uint64_t start_index, const std::vector<RbSyncLogRecord>& records);
 
   // Stream epoch: starts at 1, bumped on every remote death.
@@ -185,7 +201,7 @@ class RbTransport {
   // wired to the master sync agent's wraparound gate.
   void set_on_sync_cursor(std::function<void(int)> cb) { on_sync_cursor_ = std::move(cb); }
 
-  // Leader clock sampled at every entry-frame enqueue; folded into the sender
+  // Leader clock sampled when an entry frame is opened; folded into the sender
   // slot's delta basis when the frame's cumulative ack arrives. Unset, acks still
   // advance the per-rank offsets but the version horizons stay 0 (a delta then
   // ships every dirty file-map page and epoll row — correct, just larger).
@@ -218,7 +234,8 @@ class RbTransport {
   // Send-time metadata for one unacked entry frame: when the cumulative ack
   // covers frame_seq, the remote provably holds every entry of the frame, so the
   // rank's delta horizon advances to its highest entry offset and the version
-  // horizons to the send-time leader clock.
+  // horizons to the leader clock sampled when the frame was opened (never later
+  // than its first entry, so the basis claims no more than the replica applied).
   struct FrameMeta {
     uint64_t frame_seq = 0;
     uint32_t rank = 0;
@@ -226,12 +243,31 @@ class RbTransport {
     RbLeaderClock clock;
   };
 
+  // One queued leader-to-replica frame. A data frame stays open — no frame_seq,
+  // no seal, no FrameMeta — until the pump starts writing it, so publications of
+  // its kind merge in; `wire` holds its stamped bytes from then on.
+  struct QueuedFrame {
+    RbFrameType type = RbFrameType::kEntries;
+    uint32_t rank = 0;           // kEntries: the RB sub-buffer.
+    uint32_t count = 0;          // Entry or sync records merged so far.
+    uint64_t sync_end = 0;       // kSyncLog: log index after the last record.
+    uint64_t max_entry_off = 0;  // kEntries: the FrameMeta horizon.
+    // kEntries: the entry of the last record while that record carries the
+    // arguments only (0 otherwise; no entry sits at RB offset 0), and where
+    // the record starts in `payload`.
+    uint64_t args_only_off = 0;
+    size_t last_record_at = 0;
+    RbLeaderClock clock;         // kEntries: sampled when the frame was opened.
+    std::vector<uint8_t> payload;
+    std::vector<uint8_t> wire;   // Stamped frame bytes; empty while open.
+  };
+
   struct Remote {
     int replica_index = -1;
     std::shared_ptr<StreamSocket> sock;
-    std::deque<std::vector<uint8_t>> sendq;  // Framed bytes not yet written.
-    size_t sendq_head_off = 0;               // Partial-write offset into sendq.front().
-    uint64_t frames_sent = 0;                // Data frames enqueued (frame_seq source).
+    std::deque<QueuedFrame> sendq;  // Frames not yet fully written.
+    size_t sendq_head_off = 0;      // Partial-write offset into sendq.front().wire.
+    uint64_t frames_sent = 0;       // Data frames stamped (frame_seq source).
     uint64_t frames_acked = 0;               // Highest cumulative ack received.
     RbFrameParser parser;                    // For the ack stream.
     uint64_t observer_id = 0;
@@ -262,6 +298,16 @@ class RbTransport {
   };
 
   void Pump(Remote& r);       // Drain sendq into the socket; read acks.
+  // Writes queued frames as far as the socket window accepts, stamping each
+  // frame as its first byte goes out. False on a hard write error.
+  bool WriteQueued(Remote& r);
+  // Gives an open frame its frame_seq, wire bytes, seal and FrameMeta.
+  void Stamp(Remote& r, QueuedFrame& f);
+  // The open frame a publication of this kind merges into, or nullptr: the
+  // newest unstamped frame of the kind, if it continues at `sync_start`
+  // (kSyncLog) and stays under the merge cap with `add` more payload bytes.
+  QueuedFrame* MergeTarget(Remote& r, RbFrameType type, uint32_t rank,
+                           uint64_t sync_start, size_t add);
   void MarkDead(Remote& r, const char* why);
   // Folds newly acked entry frames' metadata into the slot's delta basis.
   void FoldAckedMeta(Remote& r);

@@ -1,10 +1,11 @@
 // RB wire format: framed, versioned serialization of replication-buffer entries.
 //
 // The SHM replication buffer only reaches replicas on the leader's machine. For
-// cross-machine replica sets the leader's IP-MON serializes each publication —
-// eager commits and batched flushes alike ("one flush = one frame") — into the
-// frames defined here and pumps them over a StreamSocket to the remote machine's
-// RemoteSyncAgent, which replays them into that replica's private RB mirror.
+// cross-machine replica sets the leader's IP-MON hands every publication to the
+// RB transport, which serializes it into the frames defined here — merged with
+// later publications of the same kind while the frame is unsent — and pumps them
+// over a StreamSocket to the remote machine's RemoteSyncAgent, which replays
+// them into that replica's private RB mirror.
 //
 // docs/RB_WIRE_FORMAT.md is the normative description of the frame layout, the
 // versioning/epoch rules, and the CRC policy; this header mirrors it. Keep the two
@@ -113,8 +114,9 @@ inline constexpr uint64_t kRbWireHeaderSize = 48;
 inline constexpr uint64_t kRbWireEntryHeaderSize = 16;
 inline constexpr uint64_t kRbWireSyncRecordSize = 8;
 inline constexpr uint64_t kRbWireSyncHeaderSize = 8;  // The u64 start_index.
-// Payloads beyond this are rejected as corrupt before any allocation happens: the
-// largest legitimate frame is one adaptive batch window of entries, far below this.
+// Payloads beyond this are rejected as corrupt before any allocation happens. The
+// transport stops merging publications into a frame at 64 KiB, and a single
+// entry image is bounded by one rank's RB sub-buffer, both far below this.
 inline constexpr uint32_t kRbWireMaxPayload = 1u << 24;
 
 enum class RbFrameType : uint16_t {
@@ -195,14 +197,14 @@ struct RbWireFrame {
 
 class RbWireCodec {
  public:
-  // Serializes one publication (a batch flush or an eager commit) into one frame.
+  // Serializes entry records (one or more publications of one rank) into a frame.
   static std::vector<uint8_t> EncodeEntries(uint32_t epoch, uint32_t rank,
                                             uint64_t frame_seq,
                                             const std::vector<RbWireEntry>& entries);
 
-  // Two-step variant for broadcasting one publication to several remotes: the
-  // payload (entry records + images) is serialized once, then each connection
-  // stamps its own header (frame_seq) + CRC around it.
+  // Two-step variant for the transport: the payload (entry records + images) is
+  // serialized when published and may grow by merging; the header (frame_seq)
+  // and CRC are stamped around it when the frame is written.
   static std::vector<uint8_t> EncodeEntriesPayload(const std::vector<RbWireEntry>& entries);
   static std::vector<uint8_t> EntriesFrameFromPayload(uint32_t epoch, uint32_t rank,
                                                       uint64_t frame_seq,
@@ -224,9 +226,9 @@ class RbWireCodec {
                                                uint64_t sync_cursor,
                                                uint32_t machine = 0);
 
-  // Serializes one sync-log publication (records appended since the last flush)
-  // into one kSyncLog frame; the two-step variant mirrors the entries broadcast
-  // path (payload serialized once, per-connection header + CRC stamped around it).
+  // Serializes consecutive sync-log records into one kSyncLog frame; the two-step
+  // variant mirrors the entries path (payload serialized when appended, header +
+  // CRC stamped around it when the frame is written).
   static std::vector<uint8_t> EncodeSyncLog(uint32_t epoch, uint64_t frame_seq,
                                             uint64_t start_index,
                                             const std::vector<RbSyncLogRecord>& records);

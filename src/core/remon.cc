@@ -51,10 +51,9 @@ Remon::Remon(Kernel* kernel, const RemonOptions& options)
   REMON_CHECK(options_.replicas >= 1);
 }
 
-// The park hooks installed on replica processes capture the IpMon instances owned
-// here; like Process::gate, they follow the convention that the monitor outlives
-// the kernel's last event for its replicas (they die with the Process objects).
-// Unfired respawn events capture `this` and must not outlive it.
+// Like Process::gate, the monitors owned here follow the convention that they
+// outlive the kernel's last event for their replicas. Unfired respawn events
+// capture `this` and must not outlive it.
 Remon::~Remon() {
   for (EventQueue::EventId id : pending_respawns_) {
     kernel_->sim()->queue().Cancel(id);
@@ -172,8 +171,6 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
       cfg.mode =
           options_.mode == MveeMode::kVaranLike ? IpmonMode::kVaranLike : IpmonMode::kRemon;
       cfg.wait_mode = options_.wait_mode;
-      cfg.rb_batch_max = options_.rb_batch_max;
-      cfg.rb_batch_policy = options_.rb_batch_policy;
       FileMap* fm = options_.mode == MveeMode::kRemon ? ghumvee_->file_map()
                                                       : varan_file_map_.get();
       ipmons_.push_back(
@@ -270,15 +267,9 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
                            clock_mon->epoll_shadow().version()};
     });
     if (!agents_.empty()) {
-      // Master sync agent streams its appends over the transport; the coalescing
-      // window borrows the master IP-MON's (adaptive) batch window, and IP-MON's
-      // flush points + park hook bound how long a record can sit unstreamed.
+      // Master sync agent streams every append over the transport.
       SyncAgent* master_agent = agents_[0].get();
-      IpMon* master_mon = ipmons_[0].get();
       master_agent->set_transport(transport_.get());
-      master_agent->set_coalesce_window(
-          [master_mon](int rank) { return master_mon->SyncCoalesceWindow(rank); });
-      master_mon->set_sync_log_flush([master_agent] { master_agent->FlushLogStream(); });
       // Wrap gate wakeups: a remote cursor advance arrives as an ack, not a
       // host-side read, so the transport pokes the parked master explicitly.
       transport_->set_on_sync_cursor(

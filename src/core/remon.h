@@ -88,13 +88,6 @@ struct RemonOptions {
   uint64_t sync_log_size = 1024 * 1024;
   // Slave wait strategy (ablation knob; kAuto is the paper's design).
   IpmonWaitMode wait_mode = IpmonWaitMode::kAuto;
-  // Batched RB publication (ablation knob): coalesce up to this many small
-  // non-blocking entries per rank — staged PRECALL commits + deferred POSTCALL
-  // results — into one publication + one slave wakeup. 0 keeps the paper's
-  // per-entry publication. Under kAdaptive this is the ceiling of the
-  // waiter-pressure-driven window (<= 0 picks a default ceiling of 16).
-  int rb_batch_max = 0;
-  RbBatchPolicy rb_batch_policy = RbBatchPolicy::kFixed;
   // §4 extension: periodically migrate the RB to fresh addresses at flush points.
   bool rb_migration = false;
   // Authenticated RB transport (wire v4): seal every cross-machine frame with a

@@ -68,13 +68,13 @@ RbEntryHeader RbEntryOps::ReadHeader(const RbView& view, uint64_t entry_off) {
   return h;
 }
 
-void RbEntryOps::StageArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t flags,
-                           uint64_t seq, uint64_t total_size,
-                           const std::vector<uint8_t>& signature) {
+void RbEntryOps::CommitArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t flags,
+                            uint64_t seq, uint64_t total_size,
+                            const std::vector<uint8_t>& signature) {
   // kRbOffWaiters is deliberately left alone: the data area is zeroed at every ring
   // reset and slots are written once per lap, so the word is already 0 unless a
-  // slave ran ahead and registered on this still-empty entry — a count the publish
-  // must see, or its FUTEX_WAKE gets elided under that sleeping waiter.
+  // slave ran ahead and registered on this still-empty entry — a count the results
+  // commit must see, or its FUTEX_WAKE gets elided under that sleeping waiter.
   view.WriteU32(entry_off + kRbOffSysno, static_cast<uint32_t>(nr));
   view.WriteU32(entry_off + kRbOffFlags, flags);
   view.WriteU64(entry_off + kRbOffTotalSize, total_size);
@@ -84,36 +84,21 @@ void RbEntryOps::StageArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t fl
   if (!signature.empty()) {
     view.WriteBytes(entry_off + kRbEntryHeaderSize, signature.data(), signature.size());
   }
+  view.WriteU32(entry_off + kRbOffState, kRbArgsReady);
 }
 
-void RbEntryOps::StageResults(RbView& view, uint64_t entry_off, int64_t result,
-                              const std::vector<uint8_t>& payload) {
+uint32_t RbEntryOps::CommitResults(RbView& view, uint64_t entry_off, int64_t result,
+                                   const std::vector<uint8_t>& payload) {
   uint64_t sig_len = view.ReadU64(entry_off + kRbOffSigLen);
   view.WriteU64(entry_off + kRbOffResult, static_cast<uint64_t>(result));
   view.WriteU64(entry_off + kRbOffOutLen, payload.size());
   if (!payload.empty()) {
     view.WriteBytes(entry_off + kRbEntryHeaderSize + sig_len, payload.data(), payload.size());
   }
-}
-
-uint32_t RbEntryOps::PublishState(RbView& view, uint64_t entry_off, uint32_t state) {
   uint32_t waiters = view.ReadU32(entry_off + kRbOffWaiters);
   // State flip last: slaves poll/wait on this word.
-  view.WriteU32(entry_off + kRbOffState, state);
+  view.WriteU32(entry_off + kRbOffState, kRbResultsReady);
   return waiters;
-}
-
-void RbEntryOps::CommitArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t flags,
-                            uint64_t seq, uint64_t total_size,
-                            const std::vector<uint8_t>& signature) {
-  StageArgs(view, entry_off, nr, flags, seq, total_size, signature);
-  view.WriteU32(entry_off + kRbOffState, kRbArgsReady);
-}
-
-uint32_t RbEntryOps::CommitResults(RbView& view, uint64_t entry_off, int64_t result,
-                                   const std::vector<uint8_t>& payload) {
-  StageResults(view, entry_off, result, payload);
-  return PublishState(view, entry_off, kRbResultsReady);
 }
 
 std::vector<uint8_t> RbEntryOps::ReadSignature(const RbView& view, uint64_t entry_off) {

@@ -155,13 +155,6 @@ ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
   // meaningless; the caller cuts against the empty basis instead.
   REMON_CHECK_MSG(!basis.valid || basis.reset_generation == master->rb_resets(),
                   "checkpoint basis from a stale RB reset generation");
-  // Quiescent flush point: every deferred batched commit publishes first, so the
-  // image never hides a publication the local slaves have already been promised.
-  // This also flushes the sync-log stream (IpMon::set_sync_log_flush), so every
-  // record in the captured log slice has left the coalescing buffer — the first
-  // kSyncLog frame behind this checkpoint starts exactly at the captured tail.
-  master->FlushRbBatches();
-
   const RbView& rb = master->rb();
   ReplicaSnapshot snap;
   snap.rb_size = rb.size();
@@ -591,16 +584,6 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
     }
     result.sync_slots_restored = snap.sync_image.size() / kSyncLogEntrySize;
   }
-  // Epoll-shadow coverage: keys the replica has not recorded yet are legitimate
-  // consumer lag (its epoll_ctl replay may trail the leader), so they are counted,
-  // not fatal; the divergence checks catch real mismatches at the next entry.
-  for (const EpollShadowTriple& t : snap.epoll) {
-    uint64_t local_data = 0;
-    if (!mon->LookupEpollData(t.epfd, t.fd, &local_data)) {
-      ++result.epoll_lag;
-    }
-  }
-
   // Global header (signals-pending flag, generation) exactly as the leader saw it.
   rb.WriteBytes(0, image.data(), kRbGlobalHeaderSize);
 

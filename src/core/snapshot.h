@@ -141,12 +141,12 @@ struct RbDeltaBasis {
   uint64_t epoll_version = 0;      // EpollShadowMap::version() horizon.
 };
 
-// Checkpoints the leader at a quiescent flush point against `basis`: publishes
-// every deferred batched commit first (so no publication is invisible in the
-// image), then captures the global/rank headers plus each rank's [basis offset,
-// cursor) window — one acked entry of overlap, idempotent under the
-// forward-only apply discipline — the lockstep cursor, and the file-map, epoll
-// and sync-log state past the basis. `ghumvee` may be null (lockstep cursor 0).
+// Checkpoints the leader against `basis` (the master defers no publication, so
+// none is invisible in the image): captures the global/rank headers plus each
+// rank's [basis offset, cursor) window — one acked entry of overlap, idempotent
+// under the forward-only apply discipline — the lockstep cursor, and the
+// file-map, epoll and sync-log state past the basis. `ghumvee` may be null
+// (lockstep cursor 0).
 // For multi-threaded workloads, `sync_master` is the leader's record/replay agent
 // and `sync_read_cursor` the replay cursor of the replica being re-seeded — in a
 // distributed deployment the cursor arrives with the join request; here the
@@ -220,7 +220,6 @@ struct SnapshotApplyResult {
   bool ok = false;
   const char* error = "";
   uint64_t entries_restored = 0;  // Entry state words re-published into the mirror.
-  uint64_t epoll_lag = 0;         // Leader shadow keys the replica has not seen yet.
   uint64_t sync_slots_restored = 0;  // Sync-log slots re-published into the mirror.
 };
 

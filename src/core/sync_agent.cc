@@ -55,14 +55,6 @@ uint64_t SyncAgent::MinPeerReadCursor() const {
 
 void SyncAgent::OnSlaveConsumed() { wrap_queue_.Wake(); }
 
-void SyncAgent::FlushLogStream() {
-  if (transport_ == nullptr || pending_.empty()) {
-    return;
-  }
-  transport_->SendSyncLog(pending_start_, pending_);
-  pending_.clear();
-}
-
 GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
   REMON_CHECK(log_.valid());
   Thread* t = g.thread();
@@ -73,12 +65,9 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
 
   if (is_master()) {
     // Wraparound gate: op `seq` reuses the slot op `seq - cap` occupied, so the
-    // append must wait until every replica has replayed past that occupant. The
-    // pending stream flushes first — a remote replica cannot drain the log this
-    // thread is parked on while its records sit in the coalescing buffer.
+    // append must wait until every replica has replayed past that occupant.
     uint64_t seq = tail();
     while (seq >= cap + MinPeerReadCursor()) {
-      FlushLogStream();
       ++kernel_->stats().sync_log_wrap_stalls;
       co_await WaitOn{t, &wrap_queue_};
       seq = tail();
@@ -95,16 +84,7 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
     LogQueue()->Wake();
 
     if (transport_ != nullptr) {
-      if (pending_.empty()) {
-        pending_start_ = seq;
-      }
-      pending_.push_back(RbSyncLogRecord{object_id, rank});
-      // The adaptive RB batch window doubles as the sync-log coalescing window;
-      // IP-MON's flush points and the kernel park hook bound the deferral.
-      int window = window_fn_ ? std::max(1, window_fn_(static_cast<int>(rank))) : 1;
-      if (pending_.size() >= static_cast<size_t>(window)) {
-        FlushLogStream();
-      }
+      transport_->SendSyncLog(seq, {RbSyncLogRecord{object_id, rank}});
     }
     co_return;
   }

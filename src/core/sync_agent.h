@@ -27,11 +27,11 @@
 // state.
 //
 // Cross-machine replica sets: the master's appends additionally stream to remote
-// replicas as kSyncLog frames over the RB transport (src/core/rb_wire.h). Appends
-// coalesce into one frame per flush — the adaptive RB batch window doubles as the
-// sync-log coalescing window — and the remote agent replays them into that
-// machine's log mirror with the same publication discipline the master uses
-// (entry slots first, tail word last, forward-only, futex wake).
+// replicas as kSyncLog frames over the RB transport (src/core/rb_wire.h). Every
+// append goes to the transport at once; contiguous appends merge into one frame
+// while it is unsent. The remote agent replays them into that machine's log
+// mirror with the same publication discipline the master uses (entry slots
+// first, tail word last, forward-only, futex wake).
 
 #ifndef SRC_CORE_SYNC_AGENT_H_
 #define SRC_CORE_SYNC_AGENT_H_
@@ -112,18 +112,6 @@ class SyncAgent {
   // (wired to RbTransport::set_on_sync_cursor) — re-checks the wraparound gate.
   void OnRemoteCursorAck() { wrap_queue_.Wake(); }
 
-  // Coalescing window for the sync-log stream, per appending rank (wired to the
-  // master IP-MON's adaptive batch window). Unset or <= 1: one frame per append.
-  void set_coalesce_window(std::function<int(int)> fn) { window_fn_ = std::move(fn); }
-
-  // Publishes every pending streamed append as one kSyncLog frame. Invoked from
-  // the window check in BeforeAcquire, from IP-MON's flush points (monitored-call
-  // entry, quiescent checkpoints), and from the kernel park hook — the same
-  // liveness contract batched RB publication has: a parked or dying master thread
-  // never leaves a remote slave waiting on an unstreamed sync op.
-  void FlushLogStream();
-  uint64_t stream_pending() const { return pending_.size(); }
-
   // Remote-side replay (invoked by the RemoteSyncAgent): applies `records`
   // starting at absolute log index `start_index` into this replica's machine-local
   // mirror — entry slots first, tail word last (forward-only), futex wake.
@@ -184,9 +172,6 @@ class SyncAgent {
 
   // Cross-machine streaming state (master only).
   RbTransport* transport_ = nullptr;
-  std::function<int(int)> window_fn_;
-  uint64_t pending_start_ = 0;  // Absolute index of pending_[0].
-  std::vector<RbSyncLogRecord> pending_;
   // Remote slave: cursor-update channel to this replica's RemoteSyncAgent
   // (non-null marks the replica remote).
   std::function<void()> on_consumed_;

@@ -157,12 +157,6 @@ void Kernel::KillThread(Thread* t, bool notify_tracer) {
   if (!t->alive()) {
     return;
   }
-  // A dying thread is the terminal form of a parked one: publish the rank's
-  // deferred RB commits while this publisher still can, or slaves sit on them
-  // forever (e.g. a workload whose final call was batchable).
-  if (t->process()->ipmon.on_park) {
-    t->process()->ipmon.on_park(t);
-  }
   CancelWait(t);
   t->set_state(ThreadState::kExited);
   t->MarkDead();
@@ -265,12 +259,6 @@ void Kernel::BlockThread(Thread* t, std::span<WaitQueue* const> queues, TimeNs d
   if (interruptible && (t->sig_pending & ~t->sig_blocked) != 0) {
     sim_->queue().ScheduleAfter(0, [cb = std::move(on_wake)] { cb(WakeReason::kSignal); });
     return;
-  }
-  // Batched-publication liveness backstop: let the process's IP-MON publish any
-  // deferred RB commits before this thread becomes unable to. Fires before the
-  // thread joins any queue, so the hook's wakes cannot touch it.
-  if (t->process()->ipmon.on_park) {
-    t->process()->ipmon.on_park(t);
   }
   t->wait.active = true;
   t->wait.interruptible = interruptible;
@@ -524,7 +512,6 @@ void Kernel::PtraceStop(Thread* t, PtraceEvent::Kind kind, int sig, ResumeFn on_
 void Kernel::PtraceResume(Thread* t, const PtraceAction& action) {
   REMON_CHECK(t->state() == ThreadState::kPtraceStopped);
   REMON_CHECK(t->on_ptrace_resume != nullptr);
-  ++sim_->stats().ptrace_resumes;
   t->set_state(ThreadState::kRunnable);
   // The continuation stays parked on the thread and the action rides alongside it,
   // so the scheduled event captures only the thread pointer.
@@ -545,13 +532,11 @@ void Kernel::PtraceResume(Thread* t, const PtraceAction& action) {
 }
 
 bool Kernel::TracerRead(Process* p, GuestAddr addr, void* out, uint64_t len) {
-  ++sim_->stats().vm_copies;
   sim_->stats().vm_copy_bytes += len;
   return p->mem().ReadUnchecked(addr, out, len).ok;
 }
 
 bool Kernel::TracerWrite(Process* p, GuestAddr addr, const void* data, uint64_t len) {
-  ++sim_->stats().vm_copies;
   sim_->stats().vm_copy_bytes += len;
   return p->mem().WriteUnchecked(addr, data, len).ok;
 }
@@ -606,7 +591,6 @@ void Kernel::PostSignalToThread(Thread* t, int sig) {
   if (!t->alive() || t->process()->exited) {
     return;
   }
-  ++sim_->stats().signals_raised;
   if (sig == kSIGKILL) {
     TerminateProcess(t->process(), 128 + sig);
     return;

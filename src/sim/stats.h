@@ -18,7 +18,7 @@ namespace remon {
 // re-seeded members.
 struct RbEpochStats {
   uint32_t epoch = 0;
-  uint64_t frames_sent = 0;      // Data frames (entries + snapshot) enqueued.
+  uint64_t frames_sent = 0;      // Data frames (entries + snapshot) written.
   uint64_t frames_acked = 0;     // Acks consumed by the leader.
   uint64_t frames_applied = 0;   // Frames replayed into remote mirrors.
   uint64_t snapshot_frames = 0;  // Re-seed checkpoint frames among frames_sent.
@@ -35,13 +35,10 @@ struct SimStats {
 
   // ptrace traffic.
   uint64_t ptrace_stops = 0;
-  uint64_t ptrace_resumes = 0;
-  uint64_t vm_copies = 0;
   uint64_t vm_copy_bytes = 0;
 
   // IK-B broker.
   uint64_t tokens_issued = 0;
-  uint64_t tokens_verified = 0;
   uint64_t tokens_revoked = 0;
   uint64_t ikb_forward_ipmon = 0;
   uint64_t ikb_forward_ghumvee = 0;
@@ -53,17 +50,15 @@ struct SimStats {
   uint64_t rb_spin_waits = 0;
   uint64_t rb_futex_waits = 0;
   uint64_t rb_futex_wakes_elided = 0;
-  uint64_t rb_batched_entries = 0;  // POSTCALL commits deferred into a batch.
-  uint64_t rb_batch_flushes = 0;    // Coalesced publications (one wakeup each).
-  uint64_t rb_precall_coalesced = 0;  // PRECALL publications deferred into a batch.
-  uint64_t rb_batch_window_grows = 0;    // Adaptive window steps up (no pressure).
-  uint64_t rb_batch_window_shrinks = 0;  // Adaptive window steps down (pressure).
-  uint64_t rb_park_flushes = 0;  // Kernel park-hook safety-net flushes.
+  // Always 0: the master publishes every entry when it happens; coalescing lives
+  // in the transport (rb_frames_sent). Kept because external stats readers
+  // still report it.
+  uint64_t rb_batch_flushes = 0;
   uint64_t rb_migrations = 0;    // Per-replica RB moves (RemonOptions::rb_migration).
 
   // RB network transport (cross-machine replica sets). Cumulative over the whole
   // run — epoch bumps never reset them; rb_epochs below carries the breakdown.
-  uint64_t rb_frames_sent = 0;        // Data frames enqueued toward remote agents.
+  uint64_t rb_frames_sent = 0;        // Data frames written toward remote agents.
   uint64_t rb_frame_bytes_sent = 0;   // Framed bytes (headers + entry images).
   uint64_t rb_frames_acked = 0;       // Acks consumed by the leader.
   uint64_t rb_frames_applied = 0;     // Frames replayed into remote RB mirrors.
@@ -78,10 +73,8 @@ struct SimStats {
   uint64_t rb_replica_joins = 0;          // Snapshots applied: replica back in the set.
   uint64_t rb_snapshot_frames_sent = 0;   // Begin/chunk/end frames enqueued.
   uint64_t rb_snapshot_bytes_sent = 0;    // Framed snapshot bytes.
-  uint64_t rb_snapshot_chunks_applied = 0;
   uint64_t rb_snapshot_rejects = 0;       // Joins refused (validation/CRC/protocol).
   uint64_t rb_snapshot_entries_restored = 0;  // Entries re-published by restores.
-  uint64_t rb_snapshot_epoll_lag = 0;     // Leader shadow keys the joiner lacked.
   uint64_t rb_snapshot_delta_captures = 0;  // Re-seeds cut against a non-empty basis.
   uint64_t rb_snapshot_delta_bytes_sent = 0;  // Framed bytes of those re-seeds only.
   uint64_t rb_snapshot_full_fallbacks = 0;  // Delta requested but basis unusable.
@@ -117,17 +110,15 @@ struct SimStats {
   uint64_t sync_ops_replayed = 0;
   // Sync-agent log transport (cross-machine multi-threaded replicas) and the
   // circular log's wraparound gate.
-  uint64_t sync_log_frames_sent = 0;      // kSyncLog frames enqueued (per remote).
+  uint64_t sync_log_frames_sent = 0;      // kSyncLog frames written (per remote).
   uint64_t sync_log_records_streamed = 0;  // Appends published to the stream (once).
   uint64_t sync_log_frames_applied = 0;   // kSyncLog frames replayed into mirrors.
   uint64_t sync_log_records_applied = 0;  // Records replayed into mirrors.
   uint64_t sync_log_wrap_stalls = 0;      // Master appends parked on a full log.
   // Always 0, like rb_transport_stalls: the wrap gate above bounds the stream.
   uint64_t sync_log_append_stalls = 0;
-  uint64_t sync_cursor_acks = 0;          // Acks that advanced a remote replay cursor.
 
   // Signals.
-  uint64_t signals_raised = 0;
   uint64_t signals_deferred = 0;
   uint64_t signals_delivered = 0;
 

@@ -415,8 +415,11 @@ ProgramFn SuiteProgram(const WorkloadSpec& spec) {
               wg.PokeU32(pool, v + 1);
               REMON_CHECK(v == slot);
               wg.PokeU32(turn, slot + 1);
-              lines += "s" + std::to_string(slot) + "o" + std::to_string(object) +
-                       "v" + std::to_string(v) + ";";
+              // Appends, not operator+ on a literal: g++ 12 -O3 reports a false
+              // -Wrestrict for the inlined "literal" + std::string form.
+              lines.append("s").append(std::to_string(slot)).append("o");
+              lines.append(std::to_string(object)).append("v");
+              lines.append(std::to_string(v)).append(";");
             }
             REMON_CHECK(lines.size() <= 64 * static_cast<uint64_t>(spec.sync_ops));
             wg.Poke(sync_buf, lines.data(), lines.size());

@@ -34,7 +34,7 @@ TEST(LoadBalancerTest, RoundRobinRotatesOverBackendsInOrder) {
   LoadBalancer lb(&w.net, vip, LoadBalancer::Policy::kRoundRobin);
   std::vector<SockAddr> backends;
   for (uint64_t i = 0; i < 3; ++i) {
-    backends.push_back({w.net.AddMachine("b" + std::to_string(i)), 80});
+    backends.push_back({w.net.AddMachine(std::string("b").append(std::to_string(i))), 80});
     lb.AddBackend(i, backends.back());
   }
   for (int round = 0; round < 4; ++round) {
@@ -60,7 +60,7 @@ TEST(LoadBalancerTest, SameSeedSameRouteDigest) {
     SockAddr vip{vm, 80};
     LoadBalancer lb(&w.net, vip, LoadBalancer::Policy::kConsistentHash);
     for (uint64_t i = 0; i < 4; ++i) {
-      lb.AddBackend(i, {w.net.AddMachine("b" + std::to_string(i)), 80});
+      lb.AddBackend(i, {w.net.AddMachine(std::string("b").append(std::to_string(i))), 80});
     }
     for (uint16_t port = 30000; port < 30200; ++port) {
       ResolveOnce(&w.net, vip, {w.client_machine, port});
@@ -77,7 +77,7 @@ TEST(LoadBalancerTest, ConsistentHashKeepsClientAffinity) {
   SockAddr vip{vm, 80};
   LoadBalancer lb(&w.net, vip, LoadBalancer::Policy::kConsistentHash);
   for (uint64_t i = 0; i < 4; ++i) {
-    lb.AddBackend(i, {w.net.AddMachine("b" + std::to_string(i)), 80});
+    lb.AddBackend(i, {w.net.AddMachine(std::string("b").append(std::to_string(i))), 80});
   }
   for (uint16_t port = 20000; port < 20050; ++port) {
     SockAddr client{w.client_machine, port};
@@ -95,7 +95,7 @@ TEST(LoadBalancerTest, ConsistentHashRemappingIsLocalOnRemoval) {
   LoadBalancer lb(&w.net, vip, LoadBalancer::Policy::kConsistentHash);
   std::map<uint32_t, uint64_t> machine_to_id;
   for (uint64_t i = 0; i < 4; ++i) {
-    SockAddr addr{w.net.AddMachine("b" + std::to_string(i)), 80};
+    SockAddr addr{w.net.AddMachine(std::string("b").append(std::to_string(i))), 80};
     lb.AddBackend(i, addr);
     machine_to_id[addr.machine] = i;
   }

@@ -193,6 +193,40 @@ TEST(MveeTest, DivergentSyscallNumberDetected) {
   EXPECT_TRUE(mvee.divergence_detected());
 }
 
+TEST(MveeTest, DivergenceAmongLockstepThreadsEndsWithReport) {
+  // Four threads per replica run monitored calls in lockstep; one of replica 1's
+  // threads diverges. The shutdown kills every replica thread while other ranks
+  // still have syscall-exit stops queued: those must be skipped, not resumed,
+  // and the run must end with the divergence report.
+  for (uint64_t seed : {61, 62, 63, 64}) {
+    SimWorld w(seed);
+    RemonOptions opts;
+    opts.mode = MveeMode::kGhumveeOnly;
+    opts.replicas = 2;
+    Remon mvee(&w.kernel, opts);
+    mvee.Launch([](Guest& g) -> GuestTask<void> {
+      auto worker = [](int id) -> ProgramFn {
+        return [id](Guest& wg) -> GuestTask<void> {
+          for (int i = 0; i < 30; ++i) {
+            co_await wg.Compute(Micros(3 + 2 * id));
+            if (id == 2 && i == 12 && wg.process()->replica_index == 1) {
+              co_await wg.Gettid();  // Hijacked control flow in one thread.
+            } else {
+              co_await wg.Getuid();
+            }
+          }
+        };
+      };
+      for (int id = 1; id < 4; ++id) {
+        co_await g.SpawnThread(g.RegisterThreadFn(worker(id)));
+      }
+      co_await worker(0)(g);
+    });
+    w.Run();
+    EXPECT_TRUE(mvee.divergence_detected()) << "seed " << seed;
+  }
+}
+
 TEST(MveeTest, DclRopPayloadDetected) {
   // The paper's headline security story: a code-reuse payload carrying an absolute
   // code address can be valid in at most one replica under DCL. The other replica
@@ -321,7 +355,8 @@ TEST(MveeTest, MultithreadedReplicasWithSyncAgent) {
             co_await wg.Futex(lock_word, kFutexWait, 1);
           }
           wg.PokeU32(lock_word, 1);
-          std::string line = "w" + std::to_string(id) + "." + std::to_string(i) + "\n";
+          std::string line = std::string("w").append(std::to_string(id)).append(".");
+          line.append(std::to_string(i)).append("\n");
           wg.Poke(buf, line.data(), line.size());
           co_await wg.Write(static_cast<int>(fd), buf, line.size());
           wg.PokeU32(lock_word, 0);

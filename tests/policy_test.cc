@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/policy.h"
+#include "src/harness/runner.h"
 #include "src/sim/rng.h"
 
 namespace remon {
@@ -161,11 +162,11 @@ TEST(TemporalTest, RequiresWarmup) {
   tp.approvals_required = 4;
   tp.exempt_probability = 1.0;
   TemporalExemptionState state(tp, &rng, 1);
-  EXPECT_FALSE(state.MayExempt(Sys::kWrite, 0));
+  EXPECT_FALSE(state.MayExempt(Sys::kWrite, 0, 0));
   for (int i = 0; i < 4; ++i) {
     state.RecordApproval(Sys::kWrite);
   }
-  EXPECT_TRUE(state.MayExempt(Sys::kWrite, 0));
+  EXPECT_TRUE(state.MayExempt(Sys::kWrite, 0, 0));
 }
 
 TEST(TemporalTest, DisabledNeverExempts) {
@@ -175,7 +176,7 @@ TEST(TemporalTest, DisabledNeverExempts) {
   for (int i = 0; i < 100; ++i) {
     state.RecordApproval(Sys::kWrite);
   }
-  EXPECT_FALSE(state.MayExempt(Sys::kWrite, 0));
+  EXPECT_FALSE(state.MayExempt(Sys::kWrite, 0, 0));
 }
 
 TEST(TemporalTest, NeverExemptsForcedCpOrUnsupported) {
@@ -185,9 +186,9 @@ TEST(TemporalTest, NeverExemptsForcedCpOrUnsupported) {
   tp.approvals_required = 0;
   tp.exempt_probability = 1.0;
   TemporalExemptionState state(tp, &rng, 1);
-  EXPECT_FALSE(state.MayExempt(Sys::kMprotect, 0));  // Forced CP.
-  EXPECT_FALSE(state.MayExempt(Sys::kOpen, 0));      // Not replicable by IP-MON.
-  EXPECT_TRUE(state.MayExempt(Sys::kWrite, 0));
+  EXPECT_FALSE(state.MayExempt(Sys::kMprotect, 0, 0));  // Forced CP.
+  EXPECT_FALSE(state.MayExempt(Sys::kOpen, 0, 0));      // Not replicable by IP-MON.
+  EXPECT_TRUE(state.MayExempt(Sys::kWrite, 0, 0));
 }
 
 TEST(TemporalTest, DecisionsConsistentAcrossReplicas) {
@@ -204,11 +205,11 @@ TEST(TemporalTest, DecisionsConsistentAcrossReplicas) {
   std::vector<bool> replica2;
   // Replicas query in skewed order (master runs ahead), decisions must still align.
   for (int k = 0; k < 50; ++k) {
-    replica0.push_back(state.MayExempt(Sys::kWrite, 0));
+    replica0.push_back(state.MayExempt(Sys::kWrite, 0, 0));
   }
   for (int k = 0; k < 50; ++k) {
-    replica1.push_back(state.MayExempt(Sys::kWrite, 1));
-    replica2.push_back(state.MayExempt(Sys::kWrite, 2));
+    replica1.push_back(state.MayExempt(Sys::kWrite, 1, 0));
+    replica2.push_back(state.MayExempt(Sys::kWrite, 2, 0));
   }
   EXPECT_EQ(replica0, replica1);
   EXPECT_EQ(replica0, replica2);
@@ -222,6 +223,56 @@ TEST(TemporalTest, DecisionsConsistentAcrossReplicas) {
   EXPECT_TRUE(any_false);
 }
 
+TEST(TemporalTest, DecisionsFollowEachThreadNotTheInterleaving) {
+  // Two worker ranks of one replica set: replica 0's threads call in one order,
+  // replica 1's in another. Each thread's k-th call must get the same routing in
+  // every replica, however the threads interleave.
+  Rng rng(7);
+  TemporalPolicy tp;
+  tp.enabled = true;
+  tp.approvals_required = 0;
+  tp.exempt_probability = 0.5;
+  TemporalExemptionState state(tp, &rng, 2);
+  std::vector<bool> r0_rank1;
+  std::vector<bool> r0_rank2;
+  for (int k = 0; k < 40; ++k) {
+    r0_rank1.push_back(state.MayExempt(Sys::kWrite, 0, 1));
+    r0_rank2.push_back(state.MayExempt(Sys::kWrite, 0, 2));
+  }
+  std::vector<bool> r1_rank1;
+  std::vector<bool> r1_rank2;
+  for (int k = 0; k < 40; ++k) {
+    r1_rank2.push_back(state.MayExempt(Sys::kWrite, 1, 2));
+  }
+  for (int k = 0; k < 40; ++k) {
+    r1_rank1.push_back(state.MayExempt(Sys::kWrite, 1, 1));
+  }
+  EXPECT_EQ(r0_rank1, r1_rank1);
+  EXPECT_EQ(r0_rank2, r1_rank2);
+}
+
+TEST(TemporalTest, MultiWorkerServerRunsClean) {
+  // nginx's workers interleave differently in each replica; a shared draw keyed
+  // on anything but the calling thread routes the same logical call differently
+  // and GHUMVEE reports a false mismatch.
+  ServerSpec server = ServerByName("nginx");
+  ClientSpec client;
+  client.connections = 16;
+  client.total_requests = 400;
+  LinkParams link{60 * kMicrosecond, 0.125};
+  for (uint64_t seed : {1, 2, 3, 9}) {
+    RunConfig config;
+    config.seed = seed;
+    config.mode = MveeMode::kRemon;
+    config.level = PolicyLevel::kSocketRo;
+    config.temporal.enabled = true;
+    config.temporal.exempt_probability = 0.25;
+    ServerResult run = RunServerBench(server, client, config, link);
+    EXPECT_FALSE(run.diverged) << "seed " << seed;
+    EXPECT_EQ(run.requests, 400) << "seed " << seed;
+  }
+}
+
 TEST(TemporalTest, ProbabilityZeroNeverExempts) {
   Rng rng(5);
   TemporalPolicy tp;
@@ -230,7 +281,7 @@ TEST(TemporalTest, ProbabilityZeroNeverExempts) {
   tp.exempt_probability = 0.0;
   TemporalExemptionState state(tp, &rng, 2);
   for (int k = 0; k < 100; ++k) {
-    EXPECT_FALSE(state.MayExempt(Sys::kWrite, 0));
+    EXPECT_FALSE(state.MayExempt(Sys::kWrite, 0, 0));
   }
 }
 

@@ -203,12 +203,12 @@ TEST_P(SuiteSpecTest, PhoronixSpecsRunCleanlyUnderRemon) {
 
 INSTANTIATE_TEST_SUITE_P(AllPhoronix, SuiteSpecTest, ::testing::Range(0, 7));
 
-// --- Randomized lockstep: batched == unbatched under fuzzed interleavings ---------
+// --- Randomized lockstep under fuzzed interleavings ---------------------------------
 
 // One fuzzed multi-rank program. A seeded xoshiro RNG (identical in every replica:
 // the stream depends only on seed and rank) drives each rank through a random mix
-// of non-blocking batchable calls (regular-file writes/reads, fstat, base queries),
-// flush-forcing blocking calls (shared-pipe pings, nanosleep), and skewed compute
+// of non-blocking calls (regular-file writes/reads, fstat, base queries), blocking
+// calls (shared-pipe pings, nanosleep), and skewed compute
 // bursts that shuffle the cross-rank interleaving. Every rank logs each op's result
 // into its own transcript file — rank-private, so the bytes depend only on the
 // rank's own deterministic op stream, never on cross-rank races.
@@ -261,13 +261,13 @@ ProgramFn FuzzWorkload(uint64_t seed, FuzzShape shape) {
             r = co_await wg.Fstat(static_cast<int>(fd), st);
           } else if (op < 65) {  // Base query (different policy class).
             r = co_await wg.Getpid();
-          } else if (op < 80) {  // Blocking flush point: shared-pipe ping.
+          } else if (op < 80) {  // Blocking call: shared-pipe ping.
             // Each rank writes before it reads, so total reads never outrun total
             // writes and the cross-rank ping order is free to fuzz itself.
             wg.Poke(buf, "p", 1);
             co_await wg.Write(pwr, buf, 1);
             r = co_await wg.Read(prd, buf, 1);
-          } else if (op < 90) {  // Local-call flush point: explicit sleep.
+          } else if (op < 90) {  // Local call: explicit sleep.
             r = co_await wg.SleepNs(Micros(1 + rng.NextBelow(20)));
           } else {  // Batchable read-back.
             r = co_await wg.Read(static_cast<int>(fd), buf, 64);
@@ -301,7 +301,7 @@ ProgramFn FuzzWorkload(uint64_t seed, FuzzShape shape) {
     co_await self(g);
     // Join with exactly one 1-byte read per worker: a variable-size read here
     // would make the main rank's syscall count depend on worker completion
-    // timing, and the whole point is that batching may only change timing.
+    // timing, and the whole point is that placement may only change timing.
     GuestAddr sink = g.Alloc(4);
     for (int i = 0; i < shape.ranks - 1; ++i) {
       int64_t n = co_await g.Read(join_rd, sink, 1);
@@ -314,7 +314,7 @@ struct FuzzOutcome {
   bool ok = false;
   std::string transcript;     // Concatenated per-rank transcript files.
   uint64_t rb_entries = 0;    // RB stream shape: entry count ...
-  uint64_t rb_bytes = 0;      // ... and total bytes must not depend on batching.
+  uint64_t rb_bytes = 0;      // ... and total bytes must not depend on placement.
   uint64_t remote_deaths = 0;  // Links torn down (kill injection observed).
   uint64_t rejoins = 0;        // Snapshot joins completed (re-seed observed).
   uint64_t join_lockstep_cursor = 0;  // Checkpointed GHUMVEE cursor at last join.
@@ -326,8 +326,8 @@ struct FuzzOutcome {
   TimeNs end_time = 0;                // Virtual time at quiescence.
 };
 
-FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
-                    RbBatchPolicy policy, bool remote_last_replica = false,
+FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas,
+                    bool remote_last_replica = false,
                     TimeNs kill_remote_at = 0, bool disable_ready_lane = false,
                     bool rb_auth = false,
                     ReseedMode reseed_mode = ReseedMode::kDelta,
@@ -347,8 +347,6 @@ FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
   // lets long op streams wrap, folding reset rounds into the fuzzed interleavings.
   opts.rb_size = 256 * 1024;
   opts.max_ranks = 4;
-  opts.rb_batch_max = batch_max;
-  opts.rb_batch_policy = policy;
   if (remote_last_replica) {
     // Cross-machine variant: the last replica runs on its own machine, fed by the
     // RB transport instead of shared frames — the transcript must not notice.
@@ -409,69 +407,26 @@ FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
   return out;
 }
 
-// 1000 seeded interleavings (8 shards x 125 seeds), each run three ways: unbatched,
-// fixed window, adaptive window. Batching may only change publication timing —
-// the slave-visible results (transcripts) and the RB entry stream must be
-// byte-identical.
-class RandomizedLockstepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(RandomizedLockstepTest, BatchedMatchesUnbatchedUnderFuzzedInterleavings) {
-  constexpr int kSeedsPerShard = 125;
-  int shard = GetParam();
-  for (int i = 0; i < kSeedsPerShard; ++i) {
-    uint64_t seed = static_cast<uint64_t>(shard) * kSeedsPerShard + i + 1;
-    FuzzShape shape = ShapeFor(seed);
-    int replicas = ReplicasFor(seed);
-
-    FuzzOutcome unbatched =
-        RunFuzz(seed, shape, replicas, 0, RbBatchPolicy::kFixed);
-    ASSERT_TRUE(unbatched.ok) << "seed " << seed;
-    ASSERT_EQ(unbatched.transcript.find("<missing>"), std::string::npos)
-        << "seed " << seed;
-
-    FuzzOutcome fixed = RunFuzz(seed, shape, replicas, 4, RbBatchPolicy::kFixed);
-    ASSERT_TRUE(fixed.ok) << "seed " << seed;
-    ASSERT_EQ(unbatched.transcript, fixed.transcript) << "seed " << seed;
-    ASSERT_EQ(unbatched.rb_entries, fixed.rb_entries) << "seed " << seed;
-    ASSERT_EQ(unbatched.rb_bytes, fixed.rb_bytes) << "seed " << seed;
-
-    FuzzOutcome adaptive =
-        RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive);
-    ASSERT_TRUE(adaptive.ok) << "seed " << seed;
-    ASSERT_EQ(unbatched.transcript, adaptive.transcript) << "seed " << seed;
-    ASSERT_EQ(unbatched.rb_entries, adaptive.rb_entries) << "seed " << seed;
-    ASSERT_EQ(unbatched.rb_bytes, adaptive.rb_bytes) << "seed " << seed;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ThousandSeeds, RandomizedLockstepTest, ::testing::Range(0, 8));
-
 // Cross-machine lockstep: the same fuzzed multi-rank interleavings, with the last
 // replica moved to its own machine behind the RB transport. The transport may only
 // change *where* slaves read the stream from — the slave-visible results
 // (transcripts) and the RB stream shape must stay byte-identical to the SHM
-// placement, across batching policies, RB wraps, and blocking flush points.
+// placement, across RB wraps and blocking calls.
 TEST(RandomizedLockstepTest, RemoteRankMatchesShmUnderFuzzedInterleavings) {
   for (uint64_t seed : {3, 11, 25, 40, 77, 123, 200, 305, 404, 512, 700, 999}) {
     FuzzShape shape = ShapeFor(seed);
 
-    FuzzOutcome shm = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive);
+    FuzzOutcome shm = RunFuzz(seed, shape, 3);
     ASSERT_TRUE(shm.ok) << "seed " << seed;
     ASSERT_EQ(shm.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
 
-    FuzzOutcome remote = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome remote = RunFuzz(seed, shape, 3,
                                  /*remote_last_replica=*/true);
     ASSERT_TRUE(remote.ok) << "seed " << seed;
     ASSERT_EQ(shm.transcript, remote.transcript) << "seed " << seed;
     ASSERT_EQ(shm.rb_entries, remote.rb_entries) << "seed " << seed;
     ASSERT_EQ(shm.rb_bytes, remote.rb_bytes) << "seed " << seed;
 
-    // Unbatched remote placement must agree too (eager per-entry frames).
-    FuzzOutcome eager = RunFuzz(seed, shape, 3, 0, RbBatchPolicy::kFixed,
-                                /*remote_last_replica=*/true);
-    ASSERT_TRUE(eager.ok) << "seed " << seed;
-    ASSERT_EQ(shm.transcript, eager.transcript) << "seed " << seed;
-    ASSERT_EQ(shm.rb_entries, eager.rb_entries) << "seed " << seed;
   }
 }
 
@@ -484,12 +439,12 @@ TEST(RandomizedLockstepTest, AuthenticatedRemoteMatchesUnauthenticated) {
   for (uint64_t seed : {3, 25, 77, 200, 404, 700}) {
     FuzzShape shape = ShapeFor(seed);
 
-    FuzzOutcome plain = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome plain = RunFuzz(seed, shape, 3,
                                 /*remote_last_replica=*/true);
     ASSERT_TRUE(plain.ok) << "seed " << seed;
     ASSERT_EQ(plain.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
 
-    FuzzOutcome auth = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome auth = RunFuzz(seed, shape, 3,
                                /*remote_last_replica=*/true, /*kill_remote_at=*/0,
                                /*disable_ready_lane=*/false, /*rb_auth=*/true);
     ASSERT_TRUE(auth.ok) << "seed " << seed;
@@ -503,10 +458,10 @@ TEST(RandomizedLockstepTest, AuthenticatedRemoteMatchesUnauthenticated) {
   for (uint64_t seed : {19, 131, 333}) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 24;
-    FuzzOutcome plain = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome plain = RunFuzz(seed, shape, 3,
                                 /*remote_last_replica=*/true);
     ASSERT_TRUE(plain.ok) << "seed " << seed;
-    FuzzOutcome auth = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome auth = RunFuzz(seed, shape, 3,
                                /*remote_last_replica=*/true,
                                /*kill_remote_at=*/Micros(120),
                                /*disable_ready_lane=*/false, /*rb_auth=*/true);
@@ -532,12 +487,12 @@ TEST(RandomizedLockstepTest, ReadyLaneMatchesPureHeapUnderFuzzedInterleavings) {
     FuzzShape shape = ShapeFor(seed);
     int replicas = ReplicasFor(seed);
 
-    FuzzOutcome lane = RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive);
+    FuzzOutcome lane = RunFuzz(seed, shape, replicas);
     ASSERT_TRUE(lane.ok) << "seed " << seed;
     ASSERT_EQ(lane.transcript.find("<missing>"), std::string::npos)
         << "seed " << seed;
 
-    FuzzOutcome heap = RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome heap = RunFuzz(seed, shape, replicas,
                                /*remote_last_replica=*/false, /*kill_remote_at=*/0,
                                /*disable_ready_lane=*/true);
     ASSERT_TRUE(heap.ok) << "seed " << seed;
@@ -559,13 +514,13 @@ TEST(RandomizedLockstepTest, ReseedAfterMidRunReplicaDeathMatchesUninterrupted) 
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 24;  // Long enough that the kill always lands mid-run.
 
-    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3,
                                         /*remote_last_replica=*/true);
     ASSERT_TRUE(uninterrupted.ok) << "seed " << seed;
     ASSERT_EQ(uninterrupted.transcript.find("<missing>"), std::string::npos)
         << "seed " << seed;
 
-    FuzzOutcome reseeded = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome reseeded = RunFuzz(seed, shape, 3,
                                    /*remote_last_replica=*/true,
                                    /*kill_remote_at=*/Micros(120));
     ASSERT_TRUE(reseeded.ok) << "seed " << seed;
@@ -587,16 +542,15 @@ TEST(RandomizedLockstepTest, ReseedAfterMidRunReplicaDeathMatchesUninterrupted) 
   EXPECT_GE(exercised, 10);
 }
 
-// The unbatched (eager per-entry frame) configuration must survive re-seed too:
-// the snapshot path may not depend on batching's flush points.
-TEST(RandomizedLockstepTest, ReseedWorksUnbatched) {
+// Three more seeds for the kill-one re-seed: each must match its never-died run.
+TEST(RandomizedLockstepTest, ReseedMatchesUninterruptedOnMoreSeeds) {
   for (uint64_t seed : {7, 42, 1337}) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 24;
-    FuzzOutcome base = RunFuzz(seed, shape, 3, 0, RbBatchPolicy::kFixed,
+    FuzzOutcome base = RunFuzz(seed, shape, 3,
                                /*remote_last_replica=*/true);
     ASSERT_TRUE(base.ok) << "seed " << seed;
-    FuzzOutcome reseeded = RunFuzz(seed, shape, 3, 0, RbBatchPolicy::kFixed,
+    FuzzOutcome reseeded = RunFuzz(seed, shape, 3,
                                    /*remote_last_replica=*/true,
                                    /*kill_remote_at=*/Micros(120));
     ASSERT_TRUE(reseeded.ok) << "seed " << seed;
@@ -617,13 +571,13 @@ TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 24;
 
-    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3,
                                         /*remote_last_replica=*/true);
     ASSERT_TRUE(uninterrupted.ok) << "seed " << seed;
     ASSERT_EQ(uninterrupted.transcript.find("<missing>"), std::string::npos)
         << "seed " << seed;
 
-    FuzzOutcome delta = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome delta = RunFuzz(seed, shape, 3,
                                 /*remote_last_replica=*/true,
                                 /*kill_remote_at=*/Micros(120),
                                 /*disable_ready_lane=*/false, /*rb_auth=*/false,
@@ -632,7 +586,7 @@ TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
     ASSERT_EQ(uninterrupted.transcript, delta.transcript) << "seed " << seed;
     ASSERT_EQ(uninterrupted.rb_entries, delta.rb_entries) << "seed " << seed;
 
-    FuzzOutcome full = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome full = RunFuzz(seed, shape, 3,
                                /*remote_last_replica=*/true,
                                /*kill_remote_at=*/Micros(120),
                                /*disable_ready_lane=*/false, /*rb_auth=*/false,
@@ -643,7 +597,7 @@ TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
     // kFull must never take the delta path (that's the ablation contract).
     ASSERT_EQ(full.delta_captures, 0u) << "seed " << seed;
 
-    FuzzOutcome migrated = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome migrated = RunFuzz(seed, shape, 3,
                                    /*remote_last_replica=*/true,
                                    /*kill_remote_at=*/Micros(120),
                                    /*disable_ready_lane=*/false, /*rb_auth=*/false,
@@ -683,10 +637,10 @@ TEST(RandomizedLockstepTest, AttestedMigrationMatchesUninterrupted) {
   for (uint64_t seed : {19, 131, 333}) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 24;
-    FuzzOutcome plain = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome plain = RunFuzz(seed, shape, 3,
                                 /*remote_last_replica=*/true);
     ASSERT_TRUE(plain.ok) << "seed " << seed;
-    FuzzOutcome migrated = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome migrated = RunFuzz(seed, shape, 3,
                                    /*remote_last_replica=*/true,
                                    /*kill_remote_at=*/Micros(120),
                                    /*disable_ready_lane=*/false, /*rb_auth=*/true,
@@ -725,8 +679,6 @@ BudgetOutcome RunRespawnBudget(uint64_t seed, DurationNs decay,
   opts.level = PolicyLevel::kNonsocketRw;
   opts.rb_size = 256 * 1024;
   opts.max_ranks = 4;
-  opts.rb_batch_max = 8;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   uint32_t host = w.net.AddMachine("replica-host-1");
   w.net.SetLink(w.server_machine, host, LinkParams{50 * kMicrosecond, 0.125});
   opts.machine = w.server_machine;
@@ -801,8 +753,6 @@ ResetRaceOutcome RunResetJoinRace(uint64_t seed,
   // reset rounds land inside the checkpoint-transfer windows the kills open.
   opts.rb_size = 64 * 1024;
   opts.max_ranks = 4;
-  opts.rb_batch_max = 8;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   uint32_t host = w.net.AddMachine("replica-host-1");
   w.net.SetLink(w.server_machine, host, LinkParams{50 * kMicrosecond, 0.125});
   opts.machine = w.server_machine;
@@ -964,7 +914,7 @@ TEST(ReseedInterlockTest, AcceptDuringCheckpointFlightJoinsCleanly) {
 // acquisition on a shared turn word, so the master's acquisition order is pinned
 // by construction and byte-comparisons across placements are meaningful — while
 // everything else fuzzes: filler writes, metadata queries, sleep-poll intervals,
-// and compute bursts shuffle the batching, streaming, and wrap timing. The
+// and compute bursts shuffle the streaming, frame merging and wrap timing. The
 // guarded shared-counter pop feeds each transcript line (and the line's write
 // length), so a replica replaying the log wrongly diverges immediately; the tiny
 // 16-slot log wraps several times per run, exercising the circular-log gate over
@@ -1035,7 +985,7 @@ ProgramFn SyncFuzzWorkload(uint64_t seed, FuzzShape shape, std::vector<SyncOp> s
             continue;
           }
           bool burst = k >= burst_lo && k < burst_hi;
-          // Fuzzed rank-private filler (batchable unmonitored calls). The draws
+          // Fuzzed rank-private filler (small unmonitored calls). The draws
           // happen unconditionally so the op-rng stream stays aligned across
           // burst boundaries.
           uint64_t filler_len = 16 + rng.NextBelow(150);
@@ -1107,6 +1057,7 @@ struct SyncFuzzOutcome {
   uint64_t ops_replayed = 0;     // Sum over slaves.
   uint64_t wrap_stalls = 0;      // Master appends parked on the full circular log.
   uint64_t sync_frames_applied = 0;  // kSyncLog frames replayed into mirrors.
+  uint64_t frames_sent = 0;      // Data frames written toward remote agents.
   uint64_t remote_deaths = 0;
   uint64_t rejoins = 0;
   uint64_t master_tail = 0;      // Absolute sync ops published by the master.
@@ -1119,8 +1070,7 @@ struct SyncFuzzOutcome {
 constexpr uint64_t kSyncFuzzLogSize = kSyncLogOffEntries + 16 * kSyncLogEntrySize;
 
 SyncFuzzOutcome RunSyncFuzz(
-    uint64_t seed, FuzzShape shape, int replicas, int batch_max, RbBatchPolicy policy,
-    bool remote_last_replica = false, TimeNs kill_remote_at = 0,
+    uint64_t seed, FuzzShape shape, int replicas, bool remote_last_replica = false, TimeNs kill_remote_at = 0,
     const std::function<void(Remon&, SimWorld&)>& post_run = nullptr,
     DurationNs link_latency = 50 * kMicrosecond, bool rb_auth = false, ReseedMode reseed_mode = ReseedMode::kDelta,
     const std::function<void(Remon&, SimWorld&)>& pre_run = nullptr) {
@@ -1132,8 +1082,6 @@ SyncFuzzOutcome RunSyncFuzz(
   opts.rb_auth = rb_auth;
   opts.rb_size = 256 * 1024;
   opts.max_ranks = 4;
-  opts.rb_batch_max = batch_max;
-  opts.rb_batch_policy = policy;
   opts.use_sync_agent = true;
   opts.sync_log_size = kSyncFuzzLogSize;
   if (remote_last_replica) {
@@ -1176,6 +1124,7 @@ SyncFuzzOutcome RunSyncFuzz(
   out.ops_replayed = stats.sync_ops_replayed;
   out.wrap_stalls = stats.sync_log_wrap_stalls;
   out.sync_frames_applied = stats.sync_log_frames_applied;
+  out.frames_sent = stats.rb_frames_sent;
   out.remote_deaths = stats.rb_remote_deaths;
   out.rejoins = stats.rb_replica_joins;
   if (mvee.sync_agent(0) != nullptr && mvee.sync_agent(0)->log_valid()) {
@@ -1207,14 +1156,13 @@ TEST(SyncLockstepTest, RemoteMultithreadedMatchesShmUnderFuzzedSchedules) {
     FuzzShape shape = ShapeFor(seed);
 
     SyncFuzzOutcome local =
-        RunSyncFuzz(seed, shape, ReplicasFor(seed), 8, RbBatchPolicy::kAdaptive);
+        RunSyncFuzz(seed, shape, ReplicasFor(seed));
     ASSERT_TRUE(local.ok) << "seed " << seed;
     ASSERT_EQ(local.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
     ASSERT_EQ(local.ops_recorded, static_cast<uint64_t>(shape.ranks) * shape.ops)
         << "seed " << seed;
 
-    SyncFuzzOutcome remote = RunSyncFuzz(seed, shape, ReplicasFor(seed), 8,
-                                         RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome remote = RunSyncFuzz(seed, shape, ReplicasFor(seed),
                                          /*remote_last_replica=*/true);
     ASSERT_TRUE(remote.ok) << "seed " << seed;
     ASSERT_EQ(local.transcript, remote.transcript) << "seed " << seed;
@@ -1242,13 +1190,6 @@ TEST(SyncLockstepTest, RemoteMultithreadedMatchesShmUnderFuzzedSchedules) {
     }
     total_wrap_stalls += remote.wrap_stalls;
 
-    // Unbatched (eager one-frame-per-append streaming) must agree too.
-    SyncFuzzOutcome eager = RunSyncFuzz(seed, shape, ReplicasFor(seed), 0,
-                                        RbBatchPolicy::kFixed,
-                                        /*remote_last_replica=*/true);
-    ASSERT_TRUE(eager.ok) << "seed " << seed;
-    ASSERT_EQ(local.transcript, eager.transcript) << "seed " << seed;
-    ASSERT_EQ(local.master_log, eager.master_log) << "seed " << seed;
   }
   EXPECT_GT(wrapped_seeds, 6);  // Most fuzzed schedules outgrow the 16-slot log.
   (void)total_wrap_stalls;  // On the fast link the slave lag stays under one lap.
@@ -1257,17 +1198,17 @@ TEST(SyncLockstepTest, RemoteMultithreadedMatchesShmUnderFuzzedSchedules) {
 // On a slow link the remote replica's replay lag exceeds a full lap of the
 // 16-slot log, so the master MUST park on the wraparound gate (overwriting an
 // unconsumed slot would corrupt the remote's replay) — and the run must still
-// finish byte-identically: the gate's flush-before-park keeps the stream live
-// while the master sleeps.
+// finish byte-identically: every append is with the transport before the master
+// parks, so the stream stays live while the master sleeps.
 TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
   uint64_t seed = 77;
   FuzzShape shape = ShapeFor(seed);
   shape.ops += 20;
 
-  SyncFuzzOutcome local = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive);
+  SyncFuzzOutcome local = RunSyncFuzz(seed, shape, 3);
   ASSERT_TRUE(local.ok);
 
-  SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+  SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3,
                                      /*remote_last_replica=*/true,
                                      /*kill_remote_at=*/0, /*post_run=*/nullptr,
                                      /*link_latency=*/Millis(2));
@@ -1279,6 +1220,59 @@ TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
   EXPECT_EQ(slow.remote_tail, slow.master_tail);
 }
 
+// Frame merging on the same 2 ms link: publications and sync appends queue while
+// the connection (and, under rb_auth, the attested join) is still in flight, so
+// they merge into frames that have not started writing. Merging may change only
+// how many frames travel: the transcript and the sync log must match the
+// all-local run, with and without rb_auth, and a kill + respawn that lands while
+// merged frames are queued must join cleanly with the same transcript.
+TEST(SyncLockstepTest, BackloggedLinkMergesFramesTransparently) {
+  uint64_t seed = 77;
+  FuzzShape shape = ShapeFor(seed);
+  shape.ops += 20;
+  SyncFuzzOutcome local = RunSyncFuzz(seed, shape, 3);
+  ASSERT_TRUE(local.ok);
+
+  for (bool auth : {false, true}) {
+    SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3, /*remote_last_replica=*/true,
+                                       /*kill_remote_at=*/0, /*post_run=*/nullptr,
+                                       /*link_latency=*/Millis(2), auth);
+    ASSERT_TRUE(slow.ok) << "auth " << auth;
+    EXPECT_EQ(local.transcript, slow.transcript) << "auth " << auth;
+    EXPECT_EQ(local.master_log, slow.master_log) << "auth " << auth;
+    EXPECT_EQ(slow.remote_log, slow.master_log) << "auth " << auth;
+    // Unmerged, every entry is two frames (arguments, then results) and every
+    // sync append one.
+    EXPECT_LT(slow.frames_sent, 2 * slow.rb_entries + slow.ops_recorded)
+        << "auth " << auth;
+  }
+
+  // The kill lands before the first connection is up: the queue holds merged,
+  // never-written frames, which die with the link; the replacement joins from a
+  // checkpoint and the transcript still matches.
+  for (bool auth : {false, true}) {
+    uint64_t unsent_at_kill = 0;
+    auto probe = [&unsent_at_kill](Remon&, SimWorld& w) {
+      w.sim.queue().ScheduleAt(Micros(1500), [&unsent_at_kill, &w] {
+        const SimStats& st = w.sim.stats();
+        unsent_at_kill =
+            2 * st.rb_entries + st.sync_log_records_streamed - st.rb_frames_sent;
+      });
+    };
+    SyncFuzzOutcome reseeded = RunSyncFuzz(
+        seed, shape, 3, /*remote_last_replica=*/true, /*kill_remote_at=*/Micros(1500),
+        /*post_run=*/nullptr, /*link_latency=*/Millis(2), auth, ReseedMode::kDelta,
+        probe);
+    ASSERT_TRUE(reseeded.ok) << "auth " << auth;
+    EXPECT_GT(unsent_at_kill, 1u) << "auth " << auth;
+    EXPECT_GE(reseeded.remote_deaths, 1u) << "auth " << auth;
+    EXPECT_GE(reseeded.rejoins, 1u) << "auth " << auth;
+    EXPECT_EQ(local.transcript, reseeded.transcript) << "auth " << auth;
+    EXPECT_EQ(local.master_log, reseeded.master_log) << "auth " << auth;
+    EXPECT_EQ(reseeded.remote_log, reseeded.master_log) << "auth " << auth;
+  }
+}
+
 // Authenticated multi-threaded cross-machine runs: the sealed kSyncLog/kEntries
 // streams and MAC-verified acks must reproduce the unauthenticated results
 // byte-for-byte — transcripts, sync log, mirror — and the wraparound gate (which
@@ -1288,12 +1282,12 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
   for (uint64_t seed : {11, 77, 305, 999}) {
     FuzzShape shape = ShapeFor(seed);
 
-    SyncFuzzOutcome plain = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome plain = RunSyncFuzz(seed, shape, 3,
                                         /*remote_last_replica=*/true);
     ASSERT_TRUE(plain.ok) << "seed " << seed;
     ASSERT_EQ(plain.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
 
-    SyncFuzzOutcome auth = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome auth = RunSyncFuzz(seed, shape, 3,
                                        /*remote_last_replica=*/true,
                                        /*kill_remote_at=*/0, /*post_run=*/nullptr,
                                        /*link_latency=*/50 * kMicrosecond,
@@ -1310,9 +1304,9 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
   uint64_t seed = 77;
   FuzzShape shape = ShapeFor(seed);
   shape.ops += 20;
-  SyncFuzzOutcome local = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive);
+  SyncFuzzOutcome local = RunSyncFuzz(seed, shape, 3);
   ASSERT_TRUE(local.ok);
-  SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+  SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3,
                                      /*remote_last_replica=*/true,
                                      /*kill_remote_at=*/0, /*post_run=*/nullptr,
                                      /*link_latency=*/Millis(2), /*rb_auth=*/true);
@@ -1328,10 +1322,10 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
   for (uint64_t rs : {19ull, 131ull, 333ull}) {
     FuzzShape rshape = ShapeFor(rs);
     rshape.ops += 12;
-    SyncFuzzOutcome base = RunSyncFuzz(rs, rshape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome base = RunSyncFuzz(rs, rshape, 3,
                                        /*remote_last_replica=*/true);
     ASSERT_TRUE(base.ok) << "seed " << rs;
-    SyncFuzzOutcome reseeded = RunSyncFuzz(rs, rshape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome reseeded = RunSyncFuzz(rs, rshape, 3,
                                            /*remote_last_replica=*/true,
                                            /*kill_remote_at=*/Micros(200),
                                            /*post_run=*/nullptr,
@@ -1361,13 +1355,13 @@ TEST_P(ReseedSyncLogTest, ReseedMidFuzzCarriesSyncLog) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 12;  // Long enough that the kill lands mid-run.
 
-    SyncFuzzOutcome base = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome base = RunSyncFuzz(seed, shape, 3,
                                        /*remote_last_replica=*/true);
     ASSERT_TRUE(base.ok) << "seed " << seed;
     ASSERT_EQ(base.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
 
     SyncFuzzOutcome reseeded = RunSyncFuzz(
-        seed, shape, 3, 8, RbBatchPolicy::kAdaptive, /*remote_last_replica=*/true,
+        seed, shape, 3, /*remote_last_replica=*/true,
         /*kill_remote_at=*/Micros(200), nullptr, 50 * kMicrosecond,
         /*rb_auth=*/false, GetParam());
     ASSERT_TRUE(reseeded.ok) << "seed " << seed;
@@ -1418,7 +1412,7 @@ TEST(SyncLockstepTest, ForgedAttestedSyncCursorJoinRefused) {
       SimStats stats;
       uint64_t capacity = 0;
       SyncFuzzOutcome out = RunSyncFuzz(
-          seed, shape, 3, 8, RbBatchPolicy::kAdaptive, /*remote_last_replica=*/true,
+          seed, shape, 3, /*remote_last_replica=*/true,
           /*kill_remote_at=*/kKillAt,
           [&stats, &capacity](Remon& mvee, SimWorld& w) {
             stats = w.sim.stats();
@@ -1451,7 +1445,7 @@ TEST(SyncLockstepTest, SyncLogEpochRegressionTearsLink) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 12;
     bool gap_probe = seed == 131;
-    RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    RunSyncFuzz(seed, shape, 3,
                 /*remote_last_replica=*/true, /*kill_remote_at=*/Micros(200),
                 [&exercised_stale, &exercised_gap, gap_probe](Remon& mvee,
                                                               SimWorld& w) {
@@ -1553,8 +1547,6 @@ SuiteSyncOutcome RunSuiteSync(const WorkloadSpec& spec, uint64_t seed,
   opts.mode = MveeMode::kRemon;
   opts.replicas = kReplicas;
   opts.level = PolicyLevel::kNonsocketRw;
-  opts.rb_batch_max = 16;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   opts.use_sync_agent = true;
   opts.sync_log_size = kSuiteSyncLogSize;
   opts.machine = w.server_machine;

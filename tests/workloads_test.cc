@@ -98,90 +98,6 @@ TEST(ClientTest, DurationModeStopsOnDeadline) {
   EXPECT_LT(r.seconds, 0.05);  // Bounded by the deadline (plus in-flight requests).
 }
 
-// --- Multi-rank servers under adaptive RB batching ---------------------------------
-
-// The MVEE with waiter-pressure-driven batching must be transparent to multi-rank
-// servers: every request served exactly once, the full response transcript
-// delivered, no divergence — for both the epoll event-loop and the thread-pool
-// concurrency model (each worker is its own RB rank with its own batch window).
-class AdaptiveBatchServerTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(AdaptiveBatchServerTest, TranscriptMatchesUnreplicatedBaseline) {
-  ServerSpec server = ServerByName(GetParam());
-  server.log_writes = 4;  // Chatty per-rank logging: the batchable call stream.
-  ClientSpec client;
-  client.connections = 8;
-  client.total_requests = 80;
-  client.request_bytes = 1024;
-  LinkParams link{60 * kMicrosecond, 0.125};
-
-  RunConfig native;
-  native.mode = MveeMode::kNative;
-  ServerResult base = RunServerBench(server, client, native, link);
-  ASSERT_EQ(base.requests, 80) << server.name;
-
-  RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 3;
-  config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
-  ServerResult run = RunServerBench(server, client, config, link);
-
-  EXPECT_FALSE(run.diverged) << server.name;
-  // Request/response transcript identical to the unreplicated baseline: same
-  // request count, same response bytes, no client-visible errors.
-  EXPECT_EQ(run.requests, base.requests) << server.name;
-  EXPECT_EQ(run.bytes_received, base.bytes_received) << server.name;
-  // Batching really engaged (the log appends are batchable on every rank).
-  EXPECT_GT(run.stats.rb_batched_entries, 0u) << server.name;
-  EXPECT_GT(run.stats.rb_precall_coalesced, 0u) << server.name;
-  EXPECT_GT(run.stats.rb_batch_flushes, 0u) << server.name;
-}
-
-INSTANTIATE_TEST_SUITE_P(EpollAndPool, AdaptiveBatchServerTest,
-                         ::testing::Values("nginx", "memcached"));
-
-TEST(AdaptiveBatchServerTest, AdaptiveMatchesOrBeatsBestFixedWindow) {
-  // The acceptance check behind the bench_abl_rb sweep, in miniature: on a
-  // multi-rank server workload the adaptive window must be at least competitive
-  // with the best fixed window (virtual time is deterministic, so a small
-  // tolerance only covers cost-model granularity, not noise).
-  ServerSpec server = ServerByName("nginx");
-  server.log_writes = 6;
-  ClientSpec client;
-  client.connections = 16;
-  client.total_requests = 150;
-  client.request_bytes = 512;
-  LinkParams link{Millis(1), 0.125};
-
-  double best_fixed = -1;
-  for (int batch : {0, 2, 4, 8, 16}) {
-    RunConfig config;
-    config.mode = MveeMode::kRemon;
-    config.replicas = 3;
-    config.level = PolicyLevel::kSocketRw;
-    config.rb_batch_max = batch;
-    ServerResult r = RunServerBench(server, client, config, link);
-    ASSERT_FALSE(r.diverged) << "fixed " << batch;
-    ASSERT_EQ(r.requests, 150) << "fixed " << batch;
-    if (best_fixed < 0 || r.seconds < best_fixed) {
-      best_fixed = r.seconds;
-    }
-  }
-
-  RunConfig adaptive;
-  adaptive.mode = MveeMode::kRemon;
-  adaptive.replicas = 3;
-  adaptive.level = PolicyLevel::kSocketRw;
-  adaptive.rb_batch_max = 16;
-  adaptive.rb_batch_policy = RbBatchPolicy::kAdaptive;
-  ServerResult a = RunServerBench(server, client, adaptive, link);
-  ASSERT_FALSE(a.diverged);
-  ASSERT_EQ(a.requests, 150);
-  EXPECT_LE(a.seconds, best_fixed * 1.02);
-}
-
 // --- Cross-machine replica sets (RB transport over the simulated network) ----------
 
 // Acceptance bar for the transport: a 3-rank replica set with one remote rank must
@@ -203,8 +119,6 @@ TEST_P(RemotePlacementServerTest, TranscriptMatchesShmPlacement) {
   local.mode = MveeMode::kRemon;
   local.replicas = 3;
   local.level = PolicyLevel::kSocketRw;
-  local.rb_batch_max = 16;
-  local.rb_batch_policy = RbBatchPolicy::kAdaptive;
   ServerResult shm = RunServerBench(server, client, local, link);
   ASSERT_FALSE(shm.diverged) << server.name;
   ASSERT_EQ(shm.requests, 80) << server.name;
@@ -234,7 +148,7 @@ INSTANTIATE_TEST_SUITE_P(EpollAndPool, RemotePlacementServerTest,
 
 TEST(RemotePlacementTest, TwoRemoteRanksOnDistinctHosts) {
   // placement=machine:1,2 — both slaves remote, on different machines, each with
-  // its own mirror + agent. The leader broadcasts each flush to both.
+  // its own mirror + agent. The leader broadcasts each publication to both.
   ServerSpec server = ServerByName("nginx");
   ClientSpec client;
   client.connections = 4;
@@ -244,8 +158,6 @@ TEST(RemotePlacementTest, TwoRemoteRanksOnDistinctHosts) {
   config.mode = MveeMode::kRemon;
   config.replicas = 3;
   config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 8;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {1, 2};
   ServerResult r = RunServerBench(server, client, config,
                                   LinkParams{60 * kMicrosecond, 0.125});
@@ -273,8 +185,6 @@ TEST(RemotePlacementTest, KilledReplicaReseedsAndServesIdenticalTranscript) {
   config.mode = MveeMode::kRemon;
   config.replicas = 3;
   config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {1};
   ServerResult uninterrupted = RunServerBench(server, client, config, link);
   ASSERT_FALSE(uninterrupted.diverged);
@@ -323,8 +233,6 @@ TEST(RemotePlacementTest, MultithreadedPoolServerReseedsWithSyncLog) {
   config.mode = MveeMode::kRemon;
   config.replicas = 3;
   config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {0, 1};  // Replica 2 on its own machine.
   config.use_sync_agent = true;
 
@@ -382,8 +290,6 @@ TEST(RemotePlacementTest, AuthenticatedPlacementServesIdenticalTranscript) {
   config.mode = MveeMode::kRemon;
   config.replicas = 3;
   config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {0, 1};  // Replica 2 on its own machine.
   config.use_sync_agent = true;
   ServerResult plain = RunServerBench(server, client, config, link);
@@ -429,8 +335,6 @@ TEST(RemotePlacementTest, RemoteLinkDownReportsDivergenceNotHang) {
   opts.mode = MveeMode::kRemon;
   opts.replicas = 3;
   opts.level = PolicyLevel::kNonsocketRw;
-  opts.rb_batch_max = 8;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   opts.machine = w.server_machine;
   opts.replica_machines = {w.server_machine, w.server_machine, remote_machine};
   Remon mvee(&w.kernel, opts);
@@ -548,8 +452,6 @@ RunConfig SyncColumnConfig() {
   config.mode = MveeMode::kRemon;
   config.replicas = 2;
   config.level = PolicyLevel::kNonsocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.use_sync_agent = true;
   config.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
   return config;
@@ -557,8 +459,8 @@ RunConfig SyncColumnConfig() {
 
 TEST(SyncSuiteTest, RemoteSyncColumnAtParityWithLocal) {
   // Regression lock for the fig3/fig4 remote sync columns. The barrier rotation
-  // emits a sync-log record and then immediately hits a liveness flush point, so
-  // the stream travels as near-singleton frames. Nothing may park the master on
+  // emits one sync-log record at a time, so on an idle link the stream travels
+  // as near-singleton frames. Nothing may park the master on
   // those frames' ack round-trips: the RB reset round and the sync-log wrap gate
   // are the only bounds on remote lag, and neither binds on fmm's duty cycle, so
   // the remote run stays at parity with the all-local placement (the residual

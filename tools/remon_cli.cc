@@ -4,8 +4,7 @@
 //             [--level=base|nonsocket_ro|nonsocket_rw|socket_ro|socket_rw]
 //             [--workload=NAME | --server=NAME] [--seed=N] [--latency-us=N]
 //             [--connections=N] [--requests=N] [--temporal-p=F] [--rb-mb=N]
-//             [--rb-batch=N|adaptive|adaptive:MAX] [--rb-migration]
-//             [--placement=local|machine:N,...] [--rb-link-latency-us=N]
+//             [--rb-migration] [--placement=local|machine:N,...] [--rb-link-latency-us=N]
 //             [--rb-link-gbps=F] [--respawn-on-death] [--reseed=delta|full]
 //             [--respawn-target=M] [--kill-replica-at-ms=N]
 //             [--sync-agent] [--sync-log-kb=N] [--rb-auth] [--list]
@@ -132,20 +131,6 @@ CliArgs Parse(int argc, char** argv) {
       // Temporal exemption probability; > 0 enables the §3.4 policy.
       args.ok = ParseNumber(v, 0.0, 1.0, &c.temporal.exempt_probability);
       c.temporal.enabled = c.temporal.exempt_probability > 0;
-    } else if (StartsWith(argv[i], "--rb-batch=", &v)) {
-      // N = fixed window; "adaptive" = waiter-pressure-driven window with the
-      // default ceiling; "adaptive:MAX" picks the ceiling. "adaptive4",
-      // "adaptive:1O", "4x": reject, don't guess.
-      c.rb_batch_policy = RbBatchPolicy::kFixed;
-      c.rb_batch_max = 0;
-      if (std::strcmp(v, "adaptive") == 0) {
-        c.rb_batch_policy = RbBatchPolicy::kAdaptive;
-      } else if (std::strncmp(v, "adaptive:", 9) == 0) {
-        c.rb_batch_policy = RbBatchPolicy::kAdaptive;
-        args.ok = ParseNumber(v + 9, 1, kIntMax, &c.rb_batch_max);
-      } else {
-        args.ok = ParseNumber(v, 0, kIntMax, &c.rb_batch_max);
-      }
     } else if (StartsWith(argv[i], "--rb-mb=", &v)) {
       uint64_t mb = 0;
       args.ok = ParseNumber<uint64_t>(v, 1, ~uint64_t{0} >> 20, &mb);
@@ -283,16 +268,6 @@ void PrintStats(const SimStats& stats) {
     std::printf(" migrations=%llu", static_cast<unsigned long long>(stats.rb_migrations));
   }
   std::printf("\n");
-  if (stats.rb_batch_flushes > 0) {
-    std::printf("  rb batching: batched=%llu precall-coalesced=%llu flushes=%llu "
-                "window +%llu/-%llu park-flushes=%llu\n",
-                static_cast<unsigned long long>(stats.rb_batched_entries),
-                static_cast<unsigned long long>(stats.rb_precall_coalesced),
-                static_cast<unsigned long long>(stats.rb_batch_flushes),
-                static_cast<unsigned long long>(stats.rb_batch_window_grows),
-                static_cast<unsigned long long>(stats.rb_batch_window_shrinks),
-                static_cast<unsigned long long>(stats.rb_park_flushes));
-  }
   if (stats.rb_frames_sent > 0) {
     // Cumulative over the whole run: epoch bumps (remote deaths) never reset the
     // transport counters — the per-epoch breakdown below attributes them.
@@ -380,7 +355,10 @@ int Run(const CliArgs& args) {
     for (size_t t = 0; t < tiers.size(); ++t) {
       ScaleoutTierSpec tier;
       tier.server = ServerByName(tiers[t].first);
-      tier.name = "t" + std::to_string(t) + "-" + tier.server.name;
+      // Appends, not operator+ on a literal: g++ 12 -O3 reports a false -Wrestrict
+      // for the inlined "literal" + std::string form.
+      tier.name = std::string("t").append(std::to_string(t)).append("-").append(
+          tier.server.name);
       tier.port = static_cast<uint16_t>(9000 + t);
       tier.initial_shards = tiers[t].second;
       tier.min_shards = tiers[t].second;
@@ -479,7 +457,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: remon_cli [--mode=..] [--replicas=N] [--level=..] "
                          "[--workload=NAME|--server=NAME] [--seed=N] [--latency-us=N] "
                          "[--connections=N] [--requests=N] [--temporal-p=F] [--rb-mb=N] "
-                         "[--rb-batch=N|adaptive] [--rb-migration] "
+                         "[--rb-migration] "
                          "[--placement=local|machine:N,...] [--rb-link-latency-us=N] "
                          "[--rb-link-gbps=F] [--respawn-on-death] [--reseed=delta|full] "
                          "[--respawn-target=M] "
