@@ -91,11 +91,11 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
 }
 
 WaitQueue* IpMon::StateWordQueue(uint64_t entry_off) {
-  uint64_t off_in_page = 0;
-  Page* frame =
-      process_->mem().ResolveFrame(rb_.AddrOf(entry_off + kRbOffState), &off_in_page);
-  REMON_CHECK(frame != nullptr);
-  return &kernel_->futex().QueueFor(frame, off_in_page);
+  return &kernel_->QueueFor(process_, rb_.AddrOf(entry_off + kRbOffState));
+}
+
+void IpMon::WakeStateWord(uint64_t entry_off) {
+  kernel_->WakeWord(process_, rb_.AddrOf(entry_off + kRbOffState));
 }
 
 bool IpMon::NeedsGhumvee(Thread* t, const SyscallRequest& req) const {
@@ -320,7 +320,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   // always sees this entry's arguments before its POSTCALL.
   RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
   co_await ThreadCost{t, costs.rb_entry_ns};
-  StateWordQueue(entry_off)->Wake();
+  WakeStateWord(entry_off);
   EmitToTransport(rank, entry_off, kRbArgsReady);
   ++stats.rb_entries;
   stats.rb_bytes += entry_size;
@@ -329,7 +329,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     // §3.8: GHUMVEE deferred a signal; restart this call as a *monitored* call so the
     // monitor gets its synchronization point. The forwarded stub keeps slaves in step.
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    StateWordQueue(entry_off)->Wake();
+    WakeStateWord(entry_off);
     EmitToTransport(rank, entry_off, kRbResultsReady);
     forward_reason_ = "signals_pending";
     co_await ForwardToGhumvee(t, req);
@@ -344,7 +344,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    StateWordQueue(entry_off)->Wake();
+    WakeStateWord(entry_off);
     EmitToTransport(rank, entry_off, kRbResultsReady);
     forward_reason_ = "token_invalid";
     co_await ForwardToGhumvee(t, req);
@@ -359,7 +359,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    StateWordQueue(entry_off)->Wake();
+    WakeStateWord(entry_off);
     EmitToTransport(rank, entry_off, kRbResultsReady);
     forward_reason_ = "eintr_restart";
     co_await ForwardToGhumvee(t, req);
@@ -370,7 +370,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   std::vector<uint8_t> payload = BuildResultPayload(req, r);
   co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
   uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
-  StateWordQueue(entry_off)->Wake();  // Memory visibility (free in real hardware).
+  WakeStateWord(entry_off);  // Memory visibility (free in real hardware).
   EmitToTransport(rank, entry_off, kRbResultsReady);
   if (waiters > 0) {
     co_await ThreadCost{t, costs.futex_wake_ns};  // FUTEX_WAKE needed.
@@ -534,10 +534,11 @@ bool IpMon::RemapFileMap() {
 }
 
 WaitQueue* IpMon::RankHeaderQueue(int rank) {
-  uint64_t off_in_page = 0;
-  Page* frame = process_->mem().ResolveFrame(rb_.AddrOf(rb_.RankStart(rank)), &off_in_page);
-  REMON_CHECK(frame != nullptr);
-  return &kernel_->futex().QueueFor(frame, off_in_page);
+  return &kernel_->QueueFor(process_, rb_.AddrOf(rb_.RankStart(rank)));
+}
+
+void IpMon::WakeRankHeader(int rank) {
+  kernel_->WakeWord(process_, rb_.AddrOf(rb_.RankStart(rank)));
 }
 
 GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
@@ -548,7 +549,7 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
   uint64_t gen = ++varan_flush_gen_[static_cast<size_t>(rank)];
   uint64_t hdr = rb_.RankStart(rank);
   rb_.WriteU64(hdr + 8 + 8 * static_cast<uint64_t>(config_.replica_index), gen);
-  RankHeaderQueue(rank)->Wake();
+  WakeRankHeader(rank);
   auto all_arrived = [this, hdr, gen] {
     for (int i = 0; i < config_.num_replicas; ++i) {
       if (rb_.ReadU64(hdr + 8 + 8 * static_cast<uint64_t>(i)) < gen) {
@@ -563,7 +564,7 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
   if (is_master()) {
     rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
     rb_.WriteU64(hdr + 0, gen);  // reset_done
-    RankHeaderQueue(rank)->Wake();
+    WakeRankHeader(rank);
     ++kernel_->stats().rb_resets;
   } else {
     while (rb_.ReadU64(hdr + 0) < gen) {
@@ -616,7 +617,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
         kRbFlagMasterCall | (PredictBlocking(req, *file_map_) ? kRbFlagMaybeBlocking : 0);
     RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
     co_await ThreadCost{t, costs.rb_entry_ns};
-    StateWordQueue(entry_off)->Wake();
+    WakeStateWord(entry_off);
     ++stats.rb_entries;
     stats.rb_bytes += entry_size;
 
@@ -625,7 +626,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
     std::vector<uint8_t> payload = BuildResultPayload(req, r);
     co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
     uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
-    StateWordQueue(entry_off)->Wake();
+    WakeStateWord(entry_off);
     if (waiters > 0) {
       co_await ThreadCost{t, costs.futex_wake_ns};
     } else {

@@ -162,7 +162,9 @@ class IpMon {
   // fallback, overflow handled by a replica barrier instead of a GHUMVEE reset.
   GuestTask<void> VaranPath(Thread* t, SyscallRequest req);
   GuestTask<void> VaranFlushBarrier(Thread* t, int rank);
+  // The futex queue a barrier waiter parks on, and the find-only wake.
   WaitQueue* RankHeaderQueue(int rank);
+  void WakeRankHeader(int rank);
 
   // Builds the result payload from this (master) replica's memory after execution:
   // concatenated out-regions, with epoll_event.data values translated to FDs through
@@ -180,8 +182,10 @@ class IpMon {
   // Raises the intentional crash that signals GHUMVEE about an argument mismatch.
   void IntentionalCrash(Thread* t);
 
-  // The futex wait queue for the entry's state word.
+  // The futex wait queue for the entry's state word (waiters only), and the wake
+  // that finds it without creating it.
   WaitQueue* StateWordQueue(uint64_t entry_off);
+  void WakeStateWord(uint64_t entry_off);
 
   Kernel* kernel_;
   IkBroker* broker_;

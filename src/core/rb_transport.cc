@@ -960,12 +960,7 @@ bool RemoteSyncAgent::ApplyEntry(uint32_t rank, const RbWireEntry& e) {
   ++entries_applied_;
   ++kernel_->stats().rb_entries_applied;
 
-  uint64_t off_in_page = 0;
-  Page* frame = mon_->process()->mem().ResolveFrame(rb.AddrOf(e.entry_off + kRbOffState),
-                                                    &off_in_page);
-  if (frame != nullptr) {
-    kernel_->futex().QueueFor(frame, off_in_page).Wake();
-  }
+  kernel_->WakeWord(mon_->process(), rb.AddrOf(e.entry_off + kRbOffState));
   return true;
 }
 

@@ -7,7 +7,23 @@
 namespace remon {
 
 namespace {
+
 constexpr uint64_t kOffSignalsPending = 0;
+
+// Field access into an entry-header image, in host byte order like every RbView
+// word access.
+template <typename T>
+T Field(const uint8_t* image, uint64_t off) {
+  T v;
+  std::memcpy(&v, image + off, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void PutField(uint8_t* image, uint64_t off, T v) {
+  std::memcpy(image + off, &v, sizeof(v));
+}
+
 }  // namespace
 
 void RbView::SetSignalsPending(bool pending) {
@@ -55,16 +71,19 @@ void RbView::Zero(uint64_t offset, uint64_t len) {
 }
 
 RbEntryHeader RbEntryOps::ReadHeader(const RbView& view, uint64_t entry_off) {
+  // One read of the whole header, then a decode: a slave reads it on every call.
+  uint8_t image[kRbEntryHeaderSize];
+  view.ReadBytes(entry_off, image, sizeof(image));
   RbEntryHeader h;
-  h.state = view.ReadU32(entry_off + kRbOffState);
-  h.waiters = view.ReadU32(entry_off + kRbOffWaiters);
-  h.sysno = view.ReadU32(entry_off + kRbOffSysno);
-  h.flags = view.ReadU32(entry_off + kRbOffFlags);
-  h.total_size = view.ReadU64(entry_off + kRbOffTotalSize);
-  h.seq = view.ReadU64(entry_off + kRbOffSeq);
-  h.result = static_cast<int64_t>(view.ReadU64(entry_off + kRbOffResult));
-  h.sig_len = view.ReadU64(entry_off + kRbOffSigLen);
-  h.out_len = view.ReadU64(entry_off + kRbOffOutLen);
+  h.state = Field<uint32_t>(image, kRbOffState);
+  h.waiters = Field<uint32_t>(image, kRbOffWaiters);
+  h.sysno = Field<uint32_t>(image, kRbOffSysno);
+  h.flags = Field<uint32_t>(image, kRbOffFlags);
+  h.total_size = Field<uint64_t>(image, kRbOffTotalSize);
+  h.seq = Field<uint64_t>(image, kRbOffSeq);
+  h.result = Field<int64_t>(image, kRbOffResult);
+  h.sig_len = Field<uint64_t>(image, kRbOffSigLen);
+  h.out_len = Field<uint64_t>(image, kRbOffOutLen);
   return h;
 }
 
@@ -74,13 +93,19 @@ void RbEntryOps::CommitArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t f
   // kRbOffWaiters is deliberately left alone: the data area is zeroed at every ring
   // reset and slots are written once per lap, so the word is already 0 unless a
   // slave ran ahead and registered on this still-empty entry — a count the results
-  // commit must see, or its FUTEX_WAKE gets elided under that sleeping waiter.
-  view.WriteU32(entry_off + kRbOffSysno, static_cast<uint32_t>(nr));
-  view.WriteU32(entry_off + kRbOffFlags, flags);
-  view.WriteU64(entry_off + kRbOffTotalSize, total_size);
-  view.WriteU64(entry_off + kRbOffSeq, seq);
-  view.WriteU64(entry_off + kRbOffSigLen, signature.size());
-  view.WriteU64(entry_off + kRbOffOutLen, 0);
+  // commit must see, or its FUTEX_WAKE gets elided under that sleeping waiter. The
+  // fields are written as two images, [sysno, seq] and [sig_len, out_len], so the
+  // state, waiter and result words are not touched.
+  uint8_t image[kRbOffOutLen + 8] = {};
+  PutField<uint32_t>(image, kRbOffSysno, static_cast<uint32_t>(nr));
+  PutField<uint32_t>(image, kRbOffFlags, flags);
+  PutField<uint64_t>(image, kRbOffTotalSize, total_size);
+  PutField<uint64_t>(image, kRbOffSeq, seq);
+  PutField<uint64_t>(image, kRbOffSigLen, signature.size());
+  PutField<uint64_t>(image, kRbOffOutLen, 0);
+  view.WriteBytes(entry_off + kRbOffSysno, image + kRbOffSysno, kRbOffResult - kRbOffSysno);
+  view.WriteBytes(entry_off + kRbOffSigLen, image + kRbOffSigLen,
+                  kRbOffOutLen + 8 - kRbOffSigLen);
   if (!signature.empty()) {
     view.WriteBytes(entry_off + kRbEntryHeaderSize, signature.data(), signature.size());
   }

@@ -494,12 +494,7 @@ bool SnapshotAssembler::End(const std::vector<uint8_t>& payload) {
 namespace {
 
 void WakeEntryQueue(Kernel* kernel, IpMon* mon, const RbView& rb, uint64_t entry_off) {
-  uint64_t off_in_page = 0;
-  Page* frame = mon->process()->mem().ResolveFrame(rb.AddrOf(entry_off + kRbOffState),
-                                                   &off_in_page);
-  if (frame != nullptr) {
-    kernel->futex().QueueFor(frame, off_in_page).Wake();
-  }
+  kernel->WakeWord(mon->process(), rb.AddrOf(entry_off + kRbOffState));
 }
 
 SnapshotApplyResult ApplyFail(const char* why) {

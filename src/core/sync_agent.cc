@@ -24,12 +24,10 @@ GuestTask<void> SyncAgent::Initialize(Guest& g) {
 }
 
 WaitQueue* SyncAgent::LogQueue() {
-  uint64_t off_in_page = 0;
-  Page* frame =
-      log_.process()->mem().ResolveFrame(log_.AddrOf(kSyncLogOffTail), &off_in_page);
-  REMON_CHECK(frame != nullptr);
-  return &kernel_->futex().QueueFor(frame, off_in_page);
+  return &kernel_->QueueFor(log_.process(), log_.AddrOf(kSyncLogOffTail));
 }
+
+void SyncAgent::WakeLog() { kernel_->WakeWord(log_.process(), log_.AddrOf(kSyncLogOffTail)); }
 
 uint64_t SyncAgent::tail() const { return log_.ReadU64(kSyncLogOffTail); }
 
@@ -81,7 +79,7 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
     log_.WriteU64(kSyncLogOffTail, seq + 1);
     ++ops_recorded_;
     ++kernel_->stats().sync_ops_recorded;
-    LogQueue()->Wake();
+    WakeLog();
 
     if (transport_ != nullptr) {
       transport_->SendSyncLog(seq, {RbSyncLogRecord{object_id, rank}});
@@ -124,7 +122,7 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
         } else if (!peers_.empty() && peers_[0] != nullptr && peers_[0] != this) {
           peers_[0]->OnSlaveConsumed();  // A master parked on a full log re-checks.
         }
-        LogQueue()->Wake();  // Another slave thread may now be at the head.
+        WakeLog();  // Another slave thread may now be at the head.
         co_return;
       }
     }
@@ -174,7 +172,7 @@ bool SyncAgent::ApplyRemoteLog(uint64_t start_index,
   if (new_tail > log_tail) {
     log_.WriteU64(kSyncLogOffTail, new_tail);
   }
-  LogQueue()->Wake();
+  WakeLog();
   return true;
 }
 
@@ -263,7 +261,7 @@ const char* SyncAgent::ApplyLogDelta(uint64_t log_size, uint64_t snap_tail,
   if (snap_tail > local_tail) {
     log_.WriteU64(kSyncLogOffTail, snap_tail);
   }
-  LogQueue()->Wake();
+  WakeLog();
   return nullptr;
 }
 

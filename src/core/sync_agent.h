@@ -153,7 +153,9 @@ class SyncAgent {
                             const std::vector<uint8_t>& image);
 
  private:
+  // The tail word's futex queue (waiters only), and the find-only wake.
   WaitQueue* LogQueue();
+  void WakeLog();
   // Co-located slaves wake a master parked on a full log (the shared-segment
   // analog of a futex wake; the cursor value lives in the segment header).
   void OnSlaveConsumed();

@@ -279,6 +279,22 @@ void Kernel::BlockThread(Thread* t, std::span<WaitQueue* const> queues, TimeNs d
   }
 }
 
+WaitQueue& Kernel::QueueFor(Process* process, GuestAddr addr) {
+  uint64_t off_in_page = 0;
+  Page* frame = process->mem().ResolveFrame(addr, &off_in_page);
+  REMON_CHECK(frame != nullptr);
+  return futex_.QueueFor(frame, off_in_page);
+}
+
+void Kernel::WakeWord(Process* process, GuestAddr addr) {
+  uint64_t off_in_page = 0;
+  Page* frame = process->mem().ResolveFrame(addr, &off_in_page);
+  if (frame == nullptr) {
+    return;
+  }
+  futex_.WakeAll(frame, off_in_page);
+}
+
 void Kernel::FinishWait(Thread* t, WakeReason reason) {
   if (!t->wait.active) {
     return;

@@ -133,6 +133,14 @@ class Kernel {
   }
   void CancelWait(Thread* t);
 
+  // Futex words addressed through a process's mapping. Keys are the backing frame,
+  // so a word in shared memory is one queue in every process that maps it.
+  // QueueFor creates the queue and is for waiters; WakeWord wakes every waiter and
+  // never creates a queue, so a publish that no one waits on creates nothing.
+  // WakeWord ignores unmapped words.
+  WaitQueue& QueueFor(Process* process, GuestAddr addr);
+  void WakeWord(Process* process, GuestAddr addr);
+
   // Retries `attempt` until it stops returning -EAGAIN, blocking on the queues
   // `queue_provider` fills in between. Deadline semantics: on timeout, completes with
   // `timeout_result`. The retry state (attempt/provider/done plus the queue vector)

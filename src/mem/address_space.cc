@@ -39,6 +39,19 @@ bool AddressSpace::RangeFree(GuestAddr start, uint64_t length) const {
   return !VmaOverlaps(PageAlignDown(start), PageAlignUp(length + (start & kPageMask)));
 }
 
+AddressSpace::PageEntry* AddressSpace::Lookup(uint64_t vpn) const {
+  TlbSlot& slot = tlb_[vpn % kTlbSlots];
+  if (slot.vpn == vpn) {
+    return slot.entry;
+  }
+  auto it = page_table_.find(vpn);
+  if (it == page_table_.end()) {
+    return nullptr;
+  }
+  slot = TlbSlot{vpn, &it->second};
+  return &it->second;
+}
+
 Page* AddressSpace::MaterializeIfLazy(GuestAddr addr, uint32_t required_prot) const {
   const Vma* vma = FindVma(addr);
   if (vma == nullptr || !vma->lazy) {
@@ -164,6 +177,7 @@ void AddressSpace::Unmap(GuestAddr start, uint64_t length) {
   for (GuestAddr p = start; p < start + len; p += kPageSize) {
     page_table_.erase(p >> kPageShift);
   }
+  tlb_.fill(TlbSlot{});
   auto it = vmas_.lower_bound(start);
   while (it != vmas_.end() && it->second.start < start + len) {
     it = vmas_.erase(it);
@@ -266,8 +280,8 @@ AccessResult AddressSpace::Read(GuestAddr addr, void* out, uint64_t len) const {
   while (len > 0) {
     uint64_t off = addr & kPageMask;
     uint64_t n = std::min<uint64_t>(len, kPageSize - off);
-    auto it = page_table_.find(addr >> kPageShift);
-    if (it == page_table_.end()) {
+    const PageEntry* entry = Lookup(addr >> kPageShift);
+    if (entry == nullptr) {
       // Untouched lazy pages read as zeroes without becoming resident — a read
       // sweep over a large lazy region must not materialize it.
       const Vma* vma = FindVma(addr);
@@ -276,10 +290,10 @@ AccessResult AddressSpace::Read(GuestAddr addr, void* out, uint64_t len) const {
       }
       std::memset(dst, 0, n);
     } else {
-      if ((it->second.prot & kProtRead) == 0) {
+      if ((entry->prot & kProtRead) == 0) {
         return AccessResult::Fault(addr);
       }
-      std::memcpy(dst, it->second.frame->bytes.data() + off, n);
+      std::memcpy(dst, entry->frame->bytes.data() + off, n);
     }
     dst += n;
     addr += n;
@@ -291,19 +305,19 @@ AccessResult AddressSpace::Read(GuestAddr addr, void* out, uint64_t len) const {
 AccessResult AddressSpace::Write(GuestAddr addr, const void* data, uint64_t len) {
   const uint8_t* src = static_cast<const uint8_t*>(data);
   while (len > 0) {
-    auto it = page_table_.find(addr >> kPageShift);
-    if (it == page_table_.end()) {
+    const PageEntry* entry = Lookup(addr >> kPageShift);
+    if (entry == nullptr) {
       if (MaterializeIfLazy(addr, kProtWrite) == nullptr) {
         return AccessResult::Fault(addr);
       }
-      it = page_table_.find(addr >> kPageShift);
+      entry = Lookup(addr >> kPageShift);
     }
-    if ((it->second.prot & kProtWrite) == 0) {
+    if ((entry->prot & kProtWrite) == 0) {
       return AccessResult::Fault(addr);
     }
     uint64_t off = addr & kPageMask;
     uint64_t n = std::min<uint64_t>(len, kPageSize - off);
-    std::memcpy(it->second.frame->bytes.data() + off, src, n);
+    std::memcpy(entry->frame->bytes.data() + off, src, n);
     src += n;
     addr += n;
     len -= n;
@@ -316,8 +330,8 @@ AccessResult AddressSpace::ReadUnchecked(GuestAddr addr, void* out, uint64_t len
   while (len > 0) {
     uint64_t off = addr & kPageMask;
     uint64_t n = std::min<uint64_t>(len, kPageSize - off);
-    auto it = page_table_.find(addr >> kPageShift);
-    if (it == page_table_.end()) {
+    const PageEntry* entry = Lookup(addr >> kPageShift);
+    if (entry == nullptr) {
       // Unchecked bypasses protection but not mapping: lazy pages read as zeroes
       // without materializing (see Read).
       const Vma* vma = FindVma(addr);
@@ -326,7 +340,7 @@ AccessResult AddressSpace::ReadUnchecked(GuestAddr addr, void* out, uint64_t len
       }
       std::memset(dst, 0, n);
     } else {
-      std::memcpy(dst, it->second.frame->bytes.data() + off, n);
+      std::memcpy(dst, entry->frame->bytes.data() + off, n);
     }
     dst += n;
     addr += n;
@@ -338,16 +352,16 @@ AccessResult AddressSpace::ReadUnchecked(GuestAddr addr, void* out, uint64_t len
 AccessResult AddressSpace::WriteUnchecked(GuestAddr addr, const void* data, uint64_t len) {
   const uint8_t* src = static_cast<const uint8_t*>(data);
   while (len > 0) {
-    auto it = page_table_.find(addr >> kPageShift);
-    if (it == page_table_.end()) {
+    const PageEntry* entry = Lookup(addr >> kPageShift);
+    if (entry == nullptr) {
       if (MaterializeIfLazy(addr) == nullptr) {
         return AccessResult::Fault(addr);
       }
-      it = page_table_.find(addr >> kPageShift);
+      entry = Lookup(addr >> kPageShift);
     }
     uint64_t off = addr & kPageMask;
     uint64_t n = std::min<uint64_t>(len, kPageSize - off);
-    std::memcpy(it->second.frame->bytes.data() + off, src, n);
+    std::memcpy(entry->frame->bytes.data() + off, src, n);
     src += n;
     addr += n;
     len -= n;
@@ -432,22 +446,13 @@ bool AddressSpace::PageMaterialized(GuestAddr addr) const {
 }
 
 Page* AddressSpace::ResolveFrame(GuestAddr addr, uint64_t* offset_in_page) const {
-  auto it = page_table_.find(addr >> kPageShift);
-  if (it == page_table_.end()) {
-    // Futex keys and page sharing need a stable frame: materialize lazy pages.
-    Page* frame = MaterializeIfLazy(addr);
-    if (frame == nullptr) {
-      return nullptr;
-    }
-    if (offset_in_page != nullptr) {
-      *offset_in_page = addr & kPageMask;
-    }
-    return frame;
-  }
-  if (offset_in_page != nullptr) {
+  const PageEntry* entry = Lookup(addr >> kPageShift);
+  // Futex keys and page sharing need a stable frame: materialize lazy pages.
+  Page* frame = entry != nullptr ? entry->frame.get() : MaterializeIfLazy(addr);
+  if (frame != nullptr && offset_in_page != nullptr) {
     *offset_in_page = addr & kPageMask;
   }
-  return it->second.frame.get();
+  return frame;
 }
 
 std::vector<PageRef> AddressSpace::FramesFor(GuestAddr start, uint64_t length) const {

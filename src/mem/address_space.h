@@ -9,6 +9,7 @@
 #ifndef SRC_MEM_ADDRESS_SPACE_H_
 #define SRC_MEM_ADDRESS_SPACE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -138,6 +139,18 @@ class AddressSpace {
     uint32_t prot = kProtNone;
   };
 
+  // Direct-mapped translation cache in front of page_table_. It holds hits only:
+  // unordered_map nodes never move on insert or rehash, and page_table_ erases
+  // only in Unmap, which clears the cache. Protect edits `prot` in place, so it is
+  // read live through the pointer. A miss falls through to page_table_ and the
+  // lazy-VMA path, which therefore fault or materialize exactly as without it.
+  static constexpr size_t kTlbSlots = 64;
+  struct TlbSlot {
+    uint64_t vpn = ~uint64_t{0};  // No guest page has this VPN.
+    PageEntry* entry = nullptr;
+  };
+  PageEntry* Lookup(uint64_t vpn) const;
+
   bool RangeFree(GuestAddr start, uint64_t length) const;
 
   // Shared validation prologue of the MapFixed* entry points: page-aligned start,
@@ -160,6 +173,7 @@ class AddressSpace {
   std::map<GuestAddr, Vma> vmas_;  // Keyed by start address.
   // Keyed by VPN. Mutable: lazy VMAs materialize frames inside const accessors.
   mutable std::unordered_map<uint64_t, PageEntry> page_table_;
+  mutable std::array<TlbSlot, kTlbSlots> tlb_{};
 };
 
 }  // namespace remon

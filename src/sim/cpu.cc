@@ -6,21 +6,27 @@ CpuPool::RunGrant CpuPool::Acquire(uint64_t entity, TimeNs ready_at, DurationNs 
                                    int preferred_core) {
   REMON_CHECK(duration >= 0);
   // Pick the preferred core if reusing it does not delay the start versus the best
-  // alternative; otherwise pick the earliest-free core (migration).
-  int best = 0;
-  TimeNs best_free = kTimeNever;
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    if (cores_[i].free_until < best_free) {
-      best_free = cores_[i].free_until;
-      best = static_cast<int>(i);
+  // alternative; otherwise pick the earliest-free core (migration). A preferred
+  // core that is already free at `ready_at` starts the entity at `ready_at`, which
+  // no other core can beat, so it is granted without the scan.
+  bool has_preferred = preferred_core >= 0 && preferred_core < num_cores();
+  int chosen = preferred_core;
+  if (!has_preferred || cores_[static_cast<size_t>(preferred_core)].free_until > ready_at) {
+    int best = 0;
+    TimeNs best_free = kTimeNever;
+    for (size_t i = 0; i < cores_.size(); ++i) {
+      if (cores_[i].free_until < best_free) {
+        best_free = cores_[i].free_until;
+        best = static_cast<int>(i);
+      }
     }
-  }
-  int chosen = best;
-  if (preferred_core >= 0 && preferred_core < num_cores()) {
-    TimeNs pref_start = std::max(ready_at, cores_[static_cast<size_t>(preferred_core)].free_until);
-    TimeNs best_start = std::max(ready_at, best_free);
-    if (pref_start <= best_start) {
-      chosen = preferred_core;
+    chosen = best;
+    if (has_preferred) {
+      TimeNs pref_start =
+          std::max(ready_at, cores_[static_cast<size_t>(preferred_core)].free_until);
+      if (pref_start <= std::max(ready_at, best_free)) {
+        chosen = preferred_core;
+      }
     }
   }
 

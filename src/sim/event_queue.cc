@@ -166,7 +166,8 @@ void EventQueue::PopLaneFront() {
 }
 
 bool EventQueue::PeekNextLive(TimeNs* when, bool* from_lane) {
-  for (;;) {
+  // Most of the time nothing is cancelled: skip the set probes then.
+  if (!cancelled_.empty()) {
     // Skip cancelled lane fronts (lane entries are due at now_).
     while (lane_head_ != nullptr && cancelled_.Contains(lane_head_->id)) {
       cancelled_.Erase(lane_head_->id);
@@ -181,20 +182,20 @@ bool EventQueue::PeekNextLive(TimeNs* when, bool* from_lane) {
       cancelled_.Erase(e.seq);
       RecycleNode(e.node);
     }
-    if (lane_head_ == nullptr && heap_.empty()) {
-      return false;
-    }
-    if (lane_head_ != nullptr &&
-        (heap_.empty() || heap_.top().when > now_ ||
-         (heap_.top().when == now_ && heap_.top().seq > lane_head_->id))) {
-      *when = now_;
-      *from_lane = true;
-    } else {
-      *when = heap_.top().when;
-      *from_lane = false;
-    }
-    return true;
   }
+  if (lane_head_ == nullptr && heap_.empty()) {
+    return false;
+  }
+  if (lane_head_ != nullptr &&
+      (heap_.empty() || heap_.top().when > now_ ||
+       (heap_.top().when == now_ && heap_.top().seq > lane_head_->id))) {
+    *when = now_;
+    *from_lane = true;
+  } else {
+    *when = heap_.top().when;
+    *from_lane = false;
+  }
+  return true;
 }
 
 bool EventQueue::RunOne() {
@@ -203,6 +204,11 @@ bool EventQueue::RunOne() {
   if (!PeekNextLive(&when, &from_lane)) {
     return false;
   }
+  RunPeeked(when, from_lane);
+  return true;
+}
+
+void EventQueue::RunPeeked(TimeNs when, bool from_lane) {
   Node* n;
   if (from_lane) {
     n = lane_head_;
@@ -220,20 +226,15 @@ bool EventQueue::RunOne() {
   Callback cb = std::move(n->cb);
   RecycleNode(n);
   cb();
-  return true;
 }
 
 uint64_t EventQueue::RunUntil(TimeNs deadline) {
   uint64_t count = 0;
   TimeNs when = 0;
   bool from_lane = false;
-  while (PeekNextLive(&when, &from_lane)) {
-    if (when > deadline) {
-      break;
-    }
-    if (RunOne()) {
-      ++count;
-    }
+  while (PeekNextLive(&when, &from_lane) && when <= deadline) {
+    RunPeeked(when, from_lane);
+    ++count;
   }
   return count;
 }

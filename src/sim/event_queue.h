@@ -132,6 +132,8 @@ class EventQueue {
   // Drops cancelled entries at the lane front / heap top. Returns true if any
   // live event remains; fills the (when, seq) of the next live one.
   bool PeekNextLive(TimeNs* when, bool* from_lane);
+  // Pops and runs the live event PeekNextLive just reported.
+  void RunPeeked(TimeNs when, bool from_lane);
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;

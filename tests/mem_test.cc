@@ -4,10 +4,12 @@
 
 #include <cstring>
 
+#include "src/core/remon.h"
 #include "src/mem/address_space.h"
 #include "src/mem/layout.h"
 #include "src/mem/shm.h"
 #include "src/sim/rng.h"
+#include "tests/test_util.h"
 
 namespace remon {
 namespace {
@@ -218,6 +220,133 @@ TEST(AddressSpaceTest, ReadCString) {
   auto s = as.ReadCString(0x10000);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(*s, "hello");
+}
+
+// --- Translation cache ----------------------------------------------------------
+
+TEST(TranslationCacheTest, UnmapInvalidatesCachedPages) {
+  AddressSpace as;
+  constexpr GuestAddr kBase = 0x10000;
+  ASSERT_TRUE(as.MapFixed(kBase, 2 * kPageSize, kProtRead | kProtWrite, false, "old"));
+  uint32_t v = 0xaaaa;
+  ASSERT_TRUE(as.Write(kBase + 8, &v, 4).ok);
+  uint32_t r = 0;
+  ASSERT_TRUE(as.Read(kBase + 8, &r, 4).ok);  // Cached now.
+  Page* old_frame = as.ResolveFrame(kBase, nullptr);
+  ASSERT_NE(old_frame, nullptr);
+
+  as.Unmap(kBase, 2 * kPageSize);
+  EXPECT_FALSE(as.Read(kBase + 8, &r, 4).ok);
+  EXPECT_FALSE(as.ReadUnchecked(kBase + 8, &r, 4).ok);
+  EXPECT_FALSE(as.WriteUnchecked(kBase + 8, &v, 4).ok);
+  EXPECT_EQ(as.ResolveFrame(kBase, nullptr), nullptr);
+
+  // Different frames at the same VA: every accessor sees the new bytes.
+  std::vector<PageRef> fresh = {NewPage(), NewPage()};
+  fresh[0]->bytes[8] = 0xbb;
+  fresh[1]->bytes[8] = 0xcc;
+  ASSERT_TRUE(as.MapFixedBacked(kBase, 2 * kPageSize, kProtRead | kProtWrite, false, "new",
+                                fresh));
+  uint8_t b = 0;
+  ASSERT_TRUE(as.Read(kBase + 8, &b, 1).ok);
+  EXPECT_EQ(b, 0xbb);
+  ASSERT_TRUE(as.ReadUnchecked(kBase + kPageSize + 8, &b, 1).ok);
+  EXPECT_EQ(b, 0xcc);
+  EXPECT_EQ(as.ResolveFrame(kBase, nullptr), fresh[0].get());
+  b = 0xdd;
+  ASSERT_TRUE(as.Write(kBase + kPageSize + 8, &b, 1).ok);
+  EXPECT_EQ(fresh[1]->bytes[8], 0xdd);
+}
+
+TEST(TranslationCacheTest, AliasedSlotsKeepTheirOwnPages) {
+  // More pages than any direct-mapped cache has slots, touched round-robin, so
+  // pages that share a slot evict each other on every pass.
+  AddressSpace as;
+  constexpr GuestAddr kBase = 0x100000;
+  constexpr uint64_t kPages = 600;
+  ASSERT_TRUE(as.MapFixed(kBase, kPages * kPageSize, kProtRead | kProtWrite, false, "wide"));
+  for (int pass = 0; pass < 3; ++pass) {
+    for (uint64_t i = 0; i < kPages; ++i) {
+      uint64_t v = i * 1000 + static_cast<uint64_t>(pass);
+      ASSERT_TRUE(as.WriteU64(kBase + i * kPageSize + 16, v));
+    }
+    for (uint64_t i = 0; i < kPages; ++i) {
+      EXPECT_EQ(as.ReadU64(kBase + i * kPageSize + 16),
+                i * 1000 + static_cast<uint64_t>(pass));
+    }
+  }
+}
+
+TEST(TranslationCacheTest, ProtectIsReadThroughTheCachedEntry) {
+  AddressSpace as;
+  constexpr GuestAddr kBase = 0x10000;
+  ASSERT_TRUE(as.MapFixed(kBase, kPageSize, kProtRead | kProtWrite, false, "p"));
+  ASSERT_TRUE(as.WriteU32(kBase, 77));
+  ASSERT_EQ(as.ReadU32(kBase), 77u);  // Cached now.
+
+  ASSERT_TRUE(as.Protect(kBase, kPageSize, kProtNone));
+  uint32_t r = 0;
+  EXPECT_FALSE(as.Read(kBase, &r, 4).ok);
+  EXPECT_FALSE(as.WriteU32(kBase, 1));
+  ASSERT_TRUE(as.ReadUnchecked(kBase, &r, 4).ok);
+  EXPECT_EQ(r, 77u);
+
+  ASSERT_TRUE(as.Protect(kBase, kPageSize, kProtRead));
+  EXPECT_EQ(as.ReadU32(kBase), 77u);
+  EXPECT_FALSE(as.WriteU32(kBase, 1));
+}
+
+TEST(TranslationCacheTest, LazyMissesStillFaultOrMaterialize) {
+  AddressSpace as;
+  constexpr GuestAddr kBase = 0x10000;
+  ASSERT_TRUE(as.MapFixedLazy(kBase, 16 * kPageSize, kProtRead | kProtWrite, "lazy"));
+  // A read of an untouched page is a miss that reads zeroes and stays a miss.
+  EXPECT_EQ(as.ReadU64(kBase + 8), 0u);
+  EXPECT_EQ(as.mapped_bytes(), 0u);
+  // The write materializes the page; the next read sees it.
+  ASSERT_TRUE(as.WriteU64(kBase + 8, 5));
+  EXPECT_EQ(as.mapped_bytes(), kPageSize);
+  EXPECT_EQ(as.ReadU64(kBase + 8), 5u);
+  ASSERT_TRUE(as.Protect(kBase, 16 * kPageSize, kProtRead));
+  EXPECT_FALSE(as.WriteU64(kBase + kPageSize, 1));  // Untouched: faults, no frame.
+  EXPECT_EQ(as.mapped_bytes(), kPageSize);
+}
+
+TEST(TranslationCacheTest, MigratedRbFaultsAtItsOldAddress) {
+  SimWorld w(17);
+  RemonOptions opts;
+  opts.mode = MveeMode::kRemon;
+  opts.replicas = 2;
+  opts.level = PolicyLevel::kNonsocketRw;
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch([](Guest& g) -> GuestTask<void> {
+    int64_t fd = co_await g.Open("/tmp/tlb-migrate", kO_CREAT | kO_RDWR);
+    GuestAddr buf = g.Alloc(64);
+    for (int i = 0; i < 20; ++i) {
+      co_await g.Write(static_cast<int>(fd), buf, 64);
+    }
+    co_await g.Close(static_cast<int>(fd));
+  }, "tlb-migrate");
+  w.Run();
+  ASSERT_TRUE(mvee.finished());
+
+  IpMon* mon = mvee.ipmon(1);
+  AddressSpace& mem = mon->process()->mem();
+  GuestAddr old_base = mon->rb().base();
+  uint64_t first_entry = mon->rb().RankDataStart(0);
+  uint64_t header = 0;
+  ASSERT_TRUE(mem.ReadUnchecked(old_base + first_entry, &header, 8).ok);  // Cached.
+  ASSERT_NE(header, 0u);
+
+  GuestAddr fresh = mon->MigrateRb();
+  ASSERT_NE(fresh, 0u);
+  ASSERT_NE(fresh, old_base);
+  uint64_t r = 0;
+  EXPECT_FALSE(mem.ReadUnchecked(old_base + first_entry, &r, 8).ok);
+  EXPECT_FALSE(mem.Read(old_base + first_entry, &r, 8).ok);
+  ASSERT_TRUE(mem.ReadUnchecked(fresh + first_entry, &r, 8).ok);
+  EXPECT_EQ(r, header);
+  EXPECT_EQ(mon->rb().ReadU64(first_entry), header);
 }
 
 TEST(LayoutTest, DclWindowsAreDisjoint) {

@@ -118,6 +118,82 @@ TEST_F(RbTest, EntrySizeAlignsAndCovers) {
   }
 }
 
+// --- Futex queues on RB words ------------------------------------------------------
+
+TEST_F(RbTest, WakeOnUnwaitedWordCreatesNoQueue) {
+  FutexTable& futex = w_.kernel.futex();
+  size_t before = futex.queue_count();
+  uint64_t off = master_view_.RankDataStart(0) + kRbOffState;
+  w_.kernel.WakeWord(master_, master_view_.AddrOf(off));
+  w_.kernel.WakeWord(slave_, slave_view_.AddrOf(off));
+  uint64_t off_in_page = 0;
+  Page* frame = master_->mem().ResolveFrame(master_view_.AddrOf(off), &off_in_page);
+  ASSERT_NE(frame, nullptr);
+  EXPECT_EQ(futex.Wake(frame, off_in_page, 1), 0);
+  EXPECT_EQ(futex.Find(frame, off_in_page), nullptr);
+  EXPECT_EQ(futex.queue_count(), before);
+
+  // A waiter creates the queue, and both mappings of the word key the same one.
+  WaitQueue& q = w_.kernel.QueueFor(slave_, slave_view_.AddrOf(off));
+  EXPECT_EQ(futex.Find(frame, off_in_page), &q);
+  EXPECT_EQ(&w_.kernel.QueueFor(master_, master_view_.AddrOf(off)), &q);
+  EXPECT_EQ(futex.queue_count(), before + 1);
+  // A wake that leaves the queue without waiters drops it.
+  w_.kernel.WakeWord(master_, master_view_.AddrOf(off));
+  EXPECT_EQ(futex.Find(frame, off_in_page), nullptr);
+  EXPECT_EQ(futex.queue_count(), before);
+}
+
+TEST_F(RbTest, CrossProcessWakeThroughSharedFrameResumesWaiter) {
+  uint64_t off = master_view_.RankDataStart(1) + kRbOffState;
+  TimeNs resumed_at = -1;
+  int64_t wait_rc = -1;
+  w_.kernel.SpawnThread(slave_, [&](Guest& g) -> GuestTask<void> {
+    wait_rc = co_await g.Futex(slave_view_.AddrOf(off), kFutexWait, 0);
+    resumed_at = w_.sim.now();
+  });
+  w_.kernel.SpawnThread(master_, [&](Guest& g) -> GuestTask<void> {
+    co_await g.Compute(Micros(200));
+    master_view_.WriteU32(off, kRbArgsReady);
+    w_.kernel.WakeWord(g.process(), master_view_.AddrOf(off));
+  });
+  w_.Run();
+  EXPECT_EQ(wait_rc, 0);
+  EXPECT_GE(resumed_at, Micros(200));
+  EXPECT_EQ(w_.sim.stats().futex_waits, 1u);
+  EXPECT_EQ(w_.kernel.futex().queue_count(), 0u);  // The wake dropped the queue.
+}
+
+// A replicated run publishes every entry's state word several times, but only the
+// words a slave actually waited on may ever have held a futex queue.
+TEST(RbFutexTest, ReplicatedRunKeepsQueuesOnlyForWaitedWords) {
+  SimWorld w(23);
+  RemonOptions opts;
+  opts.mode = MveeMode::kRemon;
+  opts.replicas = 2;
+  opts.level = PolicyLevel::kNonsocketRw;
+  Remon mvee(&w.kernel, opts);
+  constexpr int kCalls = 300;
+  mvee.Launch([](Guest& g) -> GuestTask<void> {
+    int64_t fd = co_await g.Open("/tmp/futex-queues", kO_CREAT | kO_RDWR);
+    GuestAddr buf = g.Alloc(128);
+    for (int i = 0; i < kCalls; ++i) {
+      co_await g.Write(static_cast<int>(fd), buf, 64 + (i % 64));
+      co_await g.Compute(Micros(20));
+    }
+    co_await g.Close(static_cast<int>(fd));
+  }, "futex-queues");
+  w.Run();
+
+  ASSERT_TRUE(mvee.finished());
+  EXPECT_FALSE(mvee.divergence_detected());
+  const SimStats& stats = w.sim.stats();
+  EXPECT_GE(stats.rb_entries, static_cast<uint64_t>(kCalls));
+  // Each published entry used to leave a queue behind; only waits create them now,
+  // and a wake drops them again.
+  EXPECT_LE(w.kernel.futex().queue_count(), stats.rb_futex_waits + stats.futex_waits);
+}
+
 // --- Wrap-around stress across ranks -----------------------------------------------
 
 // Fills the (deliberately tiny) linear RB to wrap-around many times per rank with
@@ -144,7 +220,8 @@ TEST(RbStressTest, WraparoundAcrossRanks) {
         GuestAddr buf = wg.Alloc(256);
         GuestAddr st = wg.Alloc(sizeof(GuestStat));
         for (int i = 0; i < 400; ++i) {
-          std::string line = "w" + std::to_string(id) + "-" + std::to_string(i) + ";";
+          std::string line = "w";
+          line.append(std::to_string(id)).append("-").append(std::to_string(i)).append(";");
           wg.Poke(buf, line.data(), line.size());
           co_await wg.Write(static_cast<int>(fd), buf, 200);
           if (i % 7 == 0) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/sim/cost_model.h"
@@ -167,6 +168,107 @@ TEST(CpuPoolTest, ContextSwitchCounted) {
   pool.Acquire(2, 0, 10, -1);
   pool.Acquire(1, 0, 10, -1);
   EXPECT_EQ(pool.context_switches(), 3u);
+}
+
+// The grant policy as a full scan on every call: the earliest-free core (lowest
+// index on ties), replaced by the preferred core when that does not start later.
+// CpuPool must grant exactly what this grants.
+class FullScanPool {
+ public:
+  FullScanPool(int num_cores, DurationNs switch_cost)
+      : switch_cost_(switch_cost), free_until_(static_cast<size_t>(num_cores), 0),
+        last_entity_(static_cast<size_t>(num_cores), 0) {}
+
+  CpuPool::RunGrant Acquire(uint64_t entity, TimeNs ready_at, DurationNs duration,
+                            int preferred_core) {
+    int best = 0;
+    TimeNs best_free = kTimeNever;
+    for (size_t i = 0; i < free_until_.size(); ++i) {
+      if (free_until_[i] < best_free) {
+        best_free = free_until_[i];
+        best = static_cast<int>(i);
+      }
+    }
+    int chosen = best;
+    if (preferred_core >= 0 && preferred_core < static_cast<int>(free_until_.size())) {
+      TimeNs pref_start =
+          std::max(ready_at, free_until_[static_cast<size_t>(preferred_core)]);
+      if (pref_start <= std::max(ready_at, best_free)) {
+        chosen = preferred_core;
+      }
+    }
+    size_t c = static_cast<size_t>(chosen);
+    TimeNs start = std::max(ready_at, free_until_[c]);
+    bool switched = last_entity_[c] != entity;
+    if (switched) {
+      start += switch_cost_;
+      ++context_switches_;
+    }
+    TimeNs end = start + duration;
+    total_busy_ += end - std::max(ready_at, free_until_[c]);
+    free_until_[c] = end;
+    last_entity_[c] = entity;
+    return CpuPool::RunGrant{chosen, start, end, switched};
+  }
+
+  uint64_t context_switches() const { return context_switches_; }
+  DurationNs total_busy() const { return total_busy_; }
+
+ private:
+  DurationNs switch_cost_;
+  std::vector<TimeNs> free_until_;
+  std::vector<uint64_t> last_entity_;
+  uint64_t context_switches_ = 0;
+  DurationNs total_busy_ = 0;
+};
+
+TEST(CpuPoolTest, GrantsMatchFullScanPolicy) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    int cores = static_cast<int>(1 + rng.NextBelow(16));
+    DurationNs switch_cost = static_cast<DurationNs>(rng.NextBelow(300));
+    CpuPool pool(cores, switch_cost);
+    FullScanPool ref(cores, switch_cost);
+    std::vector<int> last_core(8, -1);
+    TimeNs clock = 0;
+    for (int i = 0; i < 2000; ++i) {
+      uint64_t entity = 1 + rng.NextBelow(8);
+      // Mostly non-decreasing ready times, as the simulator issues them, with some
+      // that lie behind earlier grants.
+      clock += static_cast<TimeNs>(rng.NextBelow(1500));
+      TimeNs ready_at = clock;
+      if (rng.NextBelow(5) == 0) {
+        ready_at -= std::min<TimeNs>(clock, static_cast<TimeNs>(rng.NextBelow(4000)));
+      }
+      DurationNs duration = static_cast<DurationNs>(rng.NextBelow(5000));
+      // The entity's last core most of the time; otherwise none (-1), any core, or
+      // one out of range.
+      int preferred = last_core[entity - 1];
+      switch (rng.NextBelow(6)) {
+        case 0:
+          preferred = -1;
+          break;
+        case 1:
+          preferred = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(cores)));
+          break;
+        case 2:
+          preferred = cores + static_cast<int>(rng.NextBelow(3));
+          break;
+        default:
+          break;
+      }
+      CpuPool::RunGrant got = pool.Acquire(entity, ready_at, duration, preferred);
+      CpuPool::RunGrant want = ref.Acquire(entity, ready_at, duration, preferred);
+      ASSERT_EQ(got.core, want.core) << "seed " << seed << " call " << i;
+      ASSERT_EQ(got.start, want.start) << "seed " << seed << " call " << i;
+      ASSERT_EQ(got.end, want.end) << "seed " << seed << " call " << i;
+      ASSERT_EQ(got.context_switched, want.context_switched)
+          << "seed " << seed << " call " << i;
+      last_core[entity - 1] = got.core;
+    }
+    EXPECT_EQ(pool.context_switches(), ref.context_switches()) << "seed " << seed;
+    EXPECT_EQ(pool.total_busy(), ref.total_busy()) << "seed " << seed;
+  }
 }
 
 TEST(CostModelTest, DilationGrowsWithReplicas) {
