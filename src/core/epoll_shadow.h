@@ -24,20 +24,19 @@ class EpollShadowMap {
   // add/mod replace any previous mapping, keeping the reverse map consistent).
   void Record(int epfd, int op, int fd, uint64_t data) {
     uint64_t key = FwdKey(epfd, fd);
-    ++version_;
     if (op == kEpollCtlDel) {
       auto it = data_.find(key);
       if (it != data_.end()) {
-        rev_.erase({epfd, it->second.data});
+        rev_.erase({epfd, it->second});
         data_.erase(it);
       }
       return;
     }
     auto old = data_.find(key);
     if (old != data_.end()) {
-      rev_.erase({epfd, old->second.data});
+      rev_.erase({epfd, old->second});
     }
-    data_[key] = Row{data, version_};
+    data_[key] = data;
     rev_[{epfd, data}] = fd;
   }
 
@@ -57,36 +56,8 @@ class EpollShadowMap {
     if (it == data_.end()) {
       return false;
     }
-    *data_out = it->second.data;
+    *data_out = it->second;
     return true;
-  }
-
-  size_t size() const { return data_.size(); }
-
-  // Monotone mutation clock: bumped on every Record(), with surviving rows
-  // latching the version that last wrote them. A delta checkpoint against a
-  // basis version ships exactly the rows from ForEachSince(basis).
-  uint64_t version() const { return version_; }
-
-  // Enumerates every (epfd, fd) -> data association (replica checkpointing: the
-  // leader ships its shadow so a rejoining replica can cross-check coverage).
-  template <typename Fn>  // Fn(int epfd, int fd, uint64_t data)
-  void ForEach(Fn&& fn) const {
-    for (const auto& [key, row] : data_) {
-      fn(static_cast<int>(key >> 32), static_cast<int>(key & 0xffffffffu), row.data);
-    }
-  }
-
-  // Rows written after `since` (delta checkpointing; deleted rows simply do not
-  // appear — the shadow section is a coverage cross-check, not a restore).
-  template <typename Fn>  // Fn(int epfd, int fd, uint64_t data)
-  void ForEachSince(uint64_t since, Fn&& fn) const {
-    for (const auto& [key, row] : data_) {
-      if (row.version > since) {
-        fn(static_cast<int>(key >> 32), static_cast<int>(key & 0xffffffffu),
-           row.data);
-      }
-    }
   }
 
  private:
@@ -106,14 +77,8 @@ class EpollShadowMap {
     }
   };
 
-  struct Row {
-    uint64_t data = 0;
-    uint64_t version = 0;
-  };
-
-  std::unordered_map<uint64_t, Row> data_;
+  std::unordered_map<uint64_t, uint64_t> data_;
   std::unordered_map<std::pair<int, uint64_t>, int, RevHash> rev_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace remon

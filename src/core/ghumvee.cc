@@ -14,6 +14,10 @@ namespace remon {
 
 namespace {
 
+// How long a lockstep round may stay partially assembled before GHUMVEE declares
+// divergence. Master-slave skew is bounded by the RB, so a generous bound is safe.
+constexpr DurationNs kLockstepTimeout = Seconds(2);
+
 bool IsSyncFatalSignal(int sig) {
   switch (sig) {
     case kSIGSEGV:
@@ -175,7 +179,7 @@ GuestTask<void> Ghumvee::HandleEntryStop(Thread* t) {
     rs.watchdog_round = rs.rounds_fired;
     Sys nr = t->cur_req.nr;
     rs.watchdog = kernel_->sim()->queue().ScheduleAfter(
-        lockstep_timeout_ns, [this, rank, nr] {
+        kLockstepTimeout, [this, rank, nr] {
           auto it = ranks_.find(rank);
           if (it == ranks_.end()) {
             return;

@@ -109,13 +109,6 @@ class Ghumvee {
     uint64_t rounds_fired = 0;
   };
 
- public:
-  // How long a lockstep round may stay partially assembled before GHUMVEE declares
-  // divergence. Master-slave skew is bounded by the RB, so a generous bound is safe.
-  DurationNs lockstep_timeout_ns = Seconds(2);
-
- private:
-
   GuestTask<void> MonitorLoop();
   GuestTask<void> HandleEntryStop(Thread* t);
   GuestTask<void> RunLockstep(int rank, RankState& rs);

@@ -17,6 +17,9 @@ namespace {
 constexpr uint64_t kRankOffResetDone = 0;
 constexpr uint64_t kRankOffBarrierGen = 8;  // + 8 * replica_index.
 
+// The entry-point cookie IP-MON registers with the kernel: "IPMO".
+constexpr uint64_t kEntryCookie = 0x49504d4f;
+
 void AppendU64To(std::vector<uint8_t>* out, uint64_t v) {
   size_t at = out->size();
   out->resize(at + 8);
@@ -82,7 +85,7 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
   }
   g.Poke(mask_addr, bytes.data(), bytes.size());
   int64_t rc = co_await g.Syscall(Sys::kRemonIpmonRegister, mask_addr,
-                                  static_cast<uint64_t>(rb_addr), config_.entry_cookie);
+                                  static_cast<uint64_t>(rb_addr), kEntryCookie);
   REMON_CHECK_MSG(rc == 0, "IP-MON registration rejected");
 
   if (on_initialized_) {

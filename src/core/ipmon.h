@@ -55,7 +55,6 @@ class IpMon {
     int max_ranks = 16;
     IpmonMode mode = IpmonMode::kRemon;
     IpmonWaitMode wait_mode = IpmonWaitMode::kAuto;
-    uint64_t entry_cookie = 0x49504d4f;  // "IPMO": the registered entry point.
   };
 
   IpMon(Kernel* kernel, IkBroker* broker, RelaxationPolicy policy, FileMap* file_map,
@@ -138,10 +137,9 @@ class IpMon {
   uint64_t rb_seq(int rank) const {
     return static_cast<size_t>(rank) < seq_.size() ? seq_[static_cast<size_t>(rank)] : 0;
   }
-  // Replica-checkpoint inputs (src/core/snapshot.h): the file map this monitor
-  // consults and its epoll data shadow.
+  // Replica-checkpoint input (src/core/snapshot.h): the file map this monitor
+  // consults.
   const FileMap* file_map() const { return file_map_; }
-  const EpollShadowMap& epoll_shadow() const { return epoll_shadow_; }
   uint64_t mismatches_tolerated() const { return mismatches_tolerated_; }
 
  private:

@@ -1,5 +1,5 @@
 // RB transport authentication: keyed per-frame MACs, stream encryption, and the
-// config digest behind the attested join handshake (wire v4, docs/RB_WIRE_FORMAT.md).
+// config digest every JOIN presents (docs/RB_WIRE_FORMAT.md).
 //
 // Threat model (ReplicaTEE-style provisioning in an untrusted cloud): the network
 // between the leader and a remote replica is adversarial — frames can be observed,
@@ -83,7 +83,7 @@ class RbAuthContext {
   mutable std::unordered_map<uint32_t, SessionKey> keys_;
 };
 
-// The join attestation digest: one 64-bit fingerprint of the configuration a
+// The JOIN's config digest: one 64-bit fingerprint of the configuration a
 // replica must share with the leader before a snapshot is shipped to it — RB
 // geometry, sync-log geometry, and the syscall descriptor-registry hash
 // (DescriptorRegistryDigest in src/kernel/syscall_meta.h). A mismatch means the

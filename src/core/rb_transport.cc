@@ -24,6 +24,12 @@ constexpr size_t kReadChunk = 4096;
 // its own.
 constexpr size_t kMergeCapBytes = 64 * 1024;
 
+// A connect that sits in SYN past this bound is a dead placement: the slot is
+// marked dead (freeing any held checkpoint frames — an unreachable replacement
+// must not pin a full snapshot in its send queue forever) and on_remote_death
+// decides what happens next.
+constexpr DurationNs kConnectTimeout = 50 * kMillisecond;
+
 // Writes as much of `q` (with partial-write offset `*head_off`) into `sock` as the
 // flow-control window accepts. Returns false on a hard write error (peer gone).
 bool DrainSendQueue(StreamSocket* sock, std::deque<std::vector<uint8_t>>* q,
@@ -65,67 +71,44 @@ RbTransport::~RbTransport() {
 void RbTransport::AddRemote(int replica_index, uint32_t machine, uint16_t port) {
   auto remote = std::make_unique<Remote>();
   remote->replica_index = replica_index;
-  remote->machine = machine;
-  remote->sock = kernel_->net()->CreateStream(leader_machine_);
-  remote->sock->ConnectTo(SockAddr{machine, port});
-  // Plain-CRC streams need no handshake; authenticated streams hold all data
-  // until the peer's join attestation verifies.
-  remote->attested = options_.auth == nullptr;
-  if (options_.auth != nullptr) {
-    remote->parser.set_auth(options_.auth, RbAuthDirection::kReplicaToLeader);
-  }
   // A first-generation remote starts from the set's shared initial state — an
   // all-zero mirror at reset generation 0 — so its delta basis is valid from the
   // first ack (empty offsets degrade each rank to its data start).
   remote->basis.valid = true;
-  Remote* r = remote.get();
-  remote->observer_id = remote->sock->poll_queue().AddObserver([this, r] { Pump(*r); });
-  ArmConnectTimer(*r);
+  Connect(*remote, machine, port);
   remotes_.push_back(std::move(remote));
 }
 
-RbTransport::Remote* RbTransport::ReviveSlot(int replica_index, uint32_t machine,
-                                             uint16_t port) {
-  Remote* slot = nullptr;
-  for (auto& r : remotes_) {
-    if (r->replica_index == replica_index) {
-      slot = r.get();
-      break;
-    }
+void RbTransport::Connect(Remote& r, uint32_t machine, uint16_t port) {
+  // The old socket's observer must go first: a zombie callback on a torn socket
+  // could otherwise pump the revived slot's state. The latched sync_cursor and
+  // the delta basis survive on purpose: until the replacement acks a newer
+  // cursor, the dead replica's last acknowledged position still gates sync-log
+  // overwrites, and the basis describes the mirror it left behind.
+  DisarmConnectTimer(r);
+  if (r.sock != nullptr && r.observer_id != 0) {
+    r.sock->poll_queue().Remove(r.observer_id);
   }
-  REMON_CHECK_MSG(slot != nullptr, "AddReplacement: replica was never remote");
-  REMON_CHECK_MSG(slot->dead, "AddReplacement: replica link is still live");
-
-  // Fresh connection, fresh per-connection sequence space. The old socket's
-  // observer must go first: a zombie callback on a torn socket could otherwise
-  // pump the revived slot's state. The latched sync_cursor survives on purpose:
-  // until the replacement attests or acks a newer cursor, the dead replica's
-  // last acknowledged position still gates sync-log overwrites.
-  DisarmConnectTimer(*slot);
-  if (slot->sock != nullptr && slot->observer_id != 0) {
-    slot->sock->poll_queue().Remove(slot->observer_id);
-  }
-  slot->sock = kernel_->net()->CreateStream(leader_machine_);
-  slot->sock->ConnectTo(SockAddr{machine, port});
-  slot->machine = machine;
-  slot->sendq.clear();
-  slot->sendq_head_off = 0;
-  slot->frames_sent = 0;
-  slot->frames_acked = 0;
-  slot->unacked.clear();
-  slot->snapshot_last_seq = 0;
-  slot->parser = RbFrameParser{};
+  r.sock = kernel_->net()->CreateStream(leader_machine_);
+  r.sock->ConnectTo(SockAddr{machine, port});
+  r.machine = machine;
+  r.sendq.clear();
+  r.sendq_head_off = 0;
+  r.frames_sent = 0;
+  r.frames_acked = 0;
+  r.unacked.clear();
+  r.snapshot_last_seq = 0;
+  r.parser = RbFrameParser{};
   if (options_.auth != nullptr) {
-    slot->parser.set_auth(options_.auth, RbAuthDirection::kReplicaToLeader);
+    r.parser.set_auth(options_.auth, RbAuthDirection::kReplicaToLeader);
   }
-  slot->dead = false;
-  slot->attested = options_.auth == nullptr;
-  slot->awaiting_snapshot = false;
-  slot->max_peer_epoch = 0;
-  Remote* r = slot;
-  slot->observer_id = slot->sock->poll_queue().AddObserver([this, r] { Pump(*r); });
-  ArmConnectTimer(*slot);
-  return slot;
+  r.dead = false;
+  r.attested = false;  // Nothing is written until the JOIN verifies.
+  r.awaiting_snapshot = false;
+  r.max_peer_epoch = 0;
+  Remote* rp = &r;  // Slots are pooled in unique_ptrs and never erased.
+  r.observer_id = r.sock->poll_queue().AddObserver([this, rp] { Pump(*rp); });
+  ArmConnectTimer(r);
 }
 
 void RbTransport::EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snapshot,
@@ -173,19 +156,17 @@ bool RbTransport::SnapshotInflight() const {
   return false;
 }
 
-void RbTransport::AddReplacement(int replica_index, uint32_t machine, uint16_t port,
-                                 const SnapshotPayloads& snapshot, bool delta) {
-  Remote* slot = ReviveSlot(replica_index, machine, port);
-  EnqueueSnapshotFrames(*slot, snapshot, delta);
-  ++kernel_->stats().rb_replica_respawns;
-  Pump(*slot);
-}
-
-void RbTransport::AddReplacementAwaitingAttest(int replica_index, uint32_t machine,
-                                               uint16_t port) {
-  REMON_CHECK_MSG(options_.auth != nullptr,
-                  "AddReplacementAwaitingAttest needs an authenticated transport");
-  Remote* slot = ReviveSlot(replica_index, machine, port);
+void RbTransport::AddReplacement(int replica_index, uint32_t machine, uint16_t port) {
+  Remote* slot = nullptr;
+  for (auto& r : remotes_) {
+    if (r->replica_index == replica_index) {
+      slot = r.get();
+      break;
+    }
+  }
+  REMON_CHECK_MSG(slot != nullptr, "AddReplacement: replica was never remote");
+  REMON_CHECK_MSG(slot->dead, "AddReplacement: replica link is still live");
+  Connect(*slot, machine, port);
   slot->awaiting_snapshot = true;
   ++kernel_->stats().rb_replica_respawns;
   Pump(*slot);
@@ -470,18 +451,14 @@ void RbTransport::FoldAckedMeta(Remote& r) {
     }
     b.from_off[m.rank] = std::max(b.from_off[m.rank], m.max_entry_off);
     b.fm_version = std::max(b.fm_version, m.clock.fm_version);
-    b.epoll_version = std::max(b.epoll_version, m.clock.epoll_version);
     r.unacked.pop_front();
   }
 }
 
 void RbTransport::ArmConnectTimer(Remote& r) {
-  if (options_.connect_timeout <= 0) {
-    return;
-  }
   Remote* rp = &r;  // Slots are pooled in unique_ptrs and never erased.
   r.connect_timer =
-      kernel_->sim()->queue().ScheduleAfter(options_.connect_timeout, [this, rp] {
+      kernel_->sim()->queue().ScheduleAfter(kConnectTimeout, [this, rp] {
         rp->connect_timer = 0;
         if (rp->dead || rp->sock == nullptr) {
           return;
@@ -515,8 +492,8 @@ void RbTransport::Pump(Remote& r) {
   // Established: the pending-connect watchdog has nothing left to watch.
   DisarmConnectTimer(r);
 
-  // Authenticated streams write nothing before the join attestation verifies —
-  // frames queue locally meanwhile.
+  // Nothing is written before the JOIN verifies — frames queue locally
+  // meanwhile.
   if (r.attested) {
     if (!WriteQueued(r)) {
       MarkDead(r, "write failed");
@@ -570,7 +547,7 @@ void RbTransport::Pump(Remote& r) {
       continue;
     }
     if (frame.type != RbFrameType::kAck) {
-      // The replica-to-leader flow carries acks and attestations, nothing else; a
+      // The replica-to-leader flow carries acks and the JOIN, nothing else; a
       // data frame here is an injected or reflected one.
       MarkDead(r, "unexpected frame type on the ack stream");
       return;
@@ -602,10 +579,6 @@ void RbTransport::Pump(Remote& r) {
 
 bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
   SimStats& stats = kernel_->stats();
-  if (options_.auth == nullptr) {
-    MarkDead(r, "unexpected join attestation on an unauthenticated stream");
-    return false;
-  }
   if (r.attested) {
     MarkDead(r, "duplicate join attestation");
     return false;
@@ -616,7 +589,7 @@ bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
     MarkDead(r, "join attestation refused (identity/config digest mismatch)");
     return false;
   }
-  // v5: the attested placement must be the machine this slot was commanded to
+  // The attested placement must be the machine this slot was commanded to
   // connect to. Respawn-as-migration changes the commanded placement; a peer
   // claiming any other machine is answering a different (or stale) command.
   if (frame.attest_machine != r.machine) {
@@ -626,11 +599,14 @@ bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
   }
   r.attested = true;
   r.max_peer_epoch = std::max(r.max_peer_epoch, frame.epoch);
-  r.sync_cursor = std::max(r.sync_cursor, frame.attest_cursor);
+  // The claimed cursor is not latched into sync_cursor: the wrap gate runs on
+  // acked cursors only. The first ack after the checkpoint delivers it (and wakes
+  // a master parked on the gate), and a forged claim never reaches the gate.
   ++stats.rb_auth_joins;
-  if (r.awaiting_snapshot && on_attested_join_) {
-    // A replacement: the front end captures the leader checkpoint (deferred to
-    // its own event — we are inside the pump) and hands it to EnqueueSnapshot.
+  if (r.awaiting_snapshot) {
+    // A replacement: the front end cuts the leader checkpoint against the claimed
+    // cursor (deferred to its own event — we are inside the pump) and hands it
+    // to EnqueueSnapshot.
     on_attested_join_(r.replica_index, frame.attest_cursor);
   } else if (!r.sendq.empty()) {
     // Frames enqueued while the attestation was in flight were held by this
@@ -647,8 +623,18 @@ bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
 // --- RemoteSyncAgent (remote side) ------------------------------------------------
 
 RemoteSyncAgent::RemoteSyncAgent(Kernel* kernel, IpMon* mon, uint32_t machine,
-                                 uint16_t port)
-    : kernel_(kernel), mon_(mon), machine_(machine), port_(port) {}
+                                 uint16_t port, const RbAuthContext* auth,
+                                 uint64_t config_digest)
+    : kernel_(kernel),
+      mon_(mon),
+      machine_(machine),
+      port_(port),
+      auth_(auth),
+      config_digest_(config_digest) {
+  if (auth_ != nullptr) {
+    parser_.set_auth(auth_, RbAuthDirection::kLeaderToReplica);
+  }
+}
 
 RemoteSyncAgent::~RemoteSyncAgent() {
   if (listener_ && listener_observer_ != 0) {
@@ -657,12 +643,6 @@ RemoteSyncAgent::~RemoteSyncAgent() {
   if (conn_ && conn_observer_ != 0) {
     conn_->poll_queue().Remove(conn_observer_);
   }
-}
-
-void RemoteSyncAgent::set_auth(const RbAuthContext* auth, uint64_t config_digest) {
-  auth_ = auth;
-  config_digest_ = config_digest;
-  parser_.set_auth(auth, RbAuthDirection::kLeaderToReplica);
 }
 
 void RemoteSyncAgent::Start() {
@@ -683,22 +663,22 @@ void RemoteSyncAgent::OnListenerPoll() {
   }
   conn_ = std::move(c);
   conn_observer_ = conn_->poll_queue().AddObserver([this] { OnConnPoll(); });
+  // JOIN: identity, config digest, placement and replay cursor as the
+  // connection's very first frame — the leader ships nothing (data or
+  // checkpoint) until it verifies. The epoch is this agent's best knowledge (1
+  // before any join); the leader only checks it for monotonicity.
+  std::vector<uint8_t> join = RbWireCodec::EncodeJoinAttest(
+      join_epoch_ > 0 ? join_epoch_ : 1,
+      static_cast<uint32_t>(mon_->config().replica_index), config_digest_,
+      attest_cursor_override_.value_or(
+          sync_agent_ != nullptr ? sync_agent_->read_cursor() : 0),
+      machine_);
   if (auth_ != nullptr) {
-    // Attested join: identity + config digest as the connection's very first
-    // frame — the leader ships nothing (data or checkpoint) until it verifies.
-    // The epoch is this agent's best knowledge (1 before any join); the sealed
-    // tag binds it, and the leader only checks it for monotonicity.
-    std::vector<uint8_t> attest = RbWireCodec::EncodeJoinAttest(
-        join_epoch_ > 0 ? join_epoch_ : 1,
-        static_cast<uint32_t>(mon_->config().replica_index), config_digest_,
-        attest_cursor_override_.value_or(
-            sync_agent_ != nullptr ? sync_agent_->read_cursor() : 0),
-        machine_);  // v5: the placement this agent actually serves.
-    auth_->SealFrame(&attest, RbAuthDirection::kReplicaToLeader);
+    auth_->SealFrame(&join, RbAuthDirection::kReplicaToLeader);
     ++kernel_->stats().rb_auth_frames_sealed;
-    ackq_.push_back(std::move(attest));
-    FlushAckQueue();
   }
+  ackq_.push_back(std::move(join));
+  FlushAckQueue();
   DrainConn();
 }
 

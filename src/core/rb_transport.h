@@ -50,28 +50,37 @@
 // GHUMVEE's divergence shutdown) — a lost machine ends the run with a report,
 // never a hang.
 //
+// Join handshake: every connection opens with a JOIN_ATTEST from the agent — the
+// replica's index, its config digest, its placement and its sync-log replay
+// cursor (sealed when --rb-auth is on). The leader writes nothing to a connection
+// until that JOIN verifies against the digest and the machine it commanded, so
+// every stream checks what it joins, authenticated or not.
+//
 // Replica re-seed: instead of shrinking the set permanently, the front end can
 // attach a *replacement* replica at the post-bump epoch (Remon::SpawnReplacement /
 // --respawn-on-death). AddReplacement revives the dead remote's slot on a fresh
-// connection whose first sequenced frames are the leader checkpoint
-// (kSnapshotDelta/kSnapshotChunk/kSnapshotEnd, src/core/snapshot.h); data frames
-// published afterwards queue behind it in order, so the replacement's mirror is
-// exactly the leader's RB at every point it observes. Snapshot frames share the
-// sequence space and cumulative acks of entry frames; while one is in flight,
-// GHUMVEE parks the RB reset round and file-map-changing rounds
-// (SnapshotInflight) so the image stays valid until the replacement applied it.
+// connection and ships nothing until the replacement's JOIN verifies; the front
+// end then cuts the leader checkpoint against the cursor the JOIN carries and
+// hands it to EnqueueSnapshot. The checkpoint's sequenced frames
+// (kSnapshotDelta/kSnapshotChunk/kSnapshotEnd, src/core/snapshot.h) lead the
+// stream; data frames published afterwards queue behind it in order, so the
+// replacement's mirror is exactly the leader's RB at every point it observes.
+// Snapshot frames share the sequence space and cumulative acks of entry frames;
+// while one is in flight, GHUMVEE parks the RB reset round and file-map-changing
+// rounds (SnapshotInflight) so the image stays valid until the replacement
+// applied it.
 //
 // O(delta) re-seed (wire v5): the transport additionally folds every remote's
 // cumulative acks into a per-slot RbDeltaBasis — per rank, the highest entry
-// offset the replica provably applied, plus the send-time file-map/epoll version
-// horizons. A replacement for a replica whose basis is still usable gets a
+// offset the replica provably applied, plus the send-time file-map version
+// horizon. A replacement for a replica whose basis is still usable gets a
 // checkpoint that resumes at those offsets instead of re-shipping the whole RB
 // (the empty basis), which is what keeps recovery cost flat as buffers grow.
 //
 // Respawn-as-migration: DetachForMigration retires a live remote's link without
 // the death side effects, so the front end can re-attach the same replica on a
-// different machine; under authentication the join attestation carries the
-// placement and the leader verifies it against the machine it commanded.
+// different machine; the JOIN carries the placement and the leader verifies it
+// against the machine it commanded.
 
 #ifndef SRC_CORE_RB_TRANSPORT_H_
 #define SRC_CORE_RB_TRANSPORT_H_
@@ -105,7 +114,6 @@ inline constexpr uint16_t kRbTransportPortBase = 47000;
 struct RbLeaderClock {
   uint64_t reset_generation = 0;  // IpMon::rb_resets() at send.
   uint64_t fm_version = 0;        // FileMap::version() at send.
-  uint64_t epoll_version = 0;     // EpollShadowMap::version() at send.
 };
 
 // Leader-side frame pump: one connection per remote replica.
@@ -113,16 +121,10 @@ class RbTransport {
  public:
   struct Options {
     // Wire v4 authentication (nullptr = plain CRC streams). When set, every frame
-    // is sealed/verified with per-epoch session keys, and no data flows to a
-    // remote until its join attestation (identity + config digest) verifies.
+    // is sealed/verified with per-epoch session keys.
     const RbAuthContext* auth = nullptr;
-    // The config digest every attesting replica must present (RbConfigDigest).
+    // The config digest every joining replica must present (RbConfigDigest).
     uint64_t config_digest = 0;
-    // A connect that sits in SYN past this bound is a dead placement: the slot is
-    // marked dead (freeing any held checkpoint frames — an unreachable
-    // replacement must not pin a full snapshot in its send queue forever) and
-    // on_remote_death decides what happens next. <= 0 disables the watchdog.
-    DurationNs connect_timeout = 50 * kMillisecond;
   };
 
   RbTransport(Kernel* kernel, uint32_t leader_machine, Options options);
@@ -135,31 +137,25 @@ class RbTransport {
 
   // Revives a dead remote's slot as a replacement replica joining at the current
   // (post-bump) epoch: fresh connection, fresh per-connection sequence space, and
-  // the serialized leader checkpoint enqueued ahead of all future data frames.
+  // nothing shipped until the replacement's JOIN verifies. On verification
+  // on_attested_join fires; the front end then cuts the leader checkpoint and
+  // hands it to EnqueueSnapshot.
+  void AddReplacement(int replica_index, uint32_t machine, uint16_t port);
+
+  // Enqueues the leader checkpoint for a joined replacement (clears its
+  // awaiting-snapshot gate; data frames published afterwards queue behind it).
   // `delta` marks a checkpoint cut against a non-empty basis: its framed bytes
   // also count in rb_snapshot_delta_bytes_sent.
-  void AddReplacement(int replica_index, uint32_t machine, uint16_t port,
-                      const SnapshotPayloads& snapshot, bool delta);
-
-  // Authenticated replacement (requires Options::auth): revives the slot but
-  // ships nothing until the replacement presents a verified join attestation.
-  // On verification on_attested_join fires; the front end then captures the
-  // leader checkpoint and hands it to EnqueueSnapshot.
-  void AddReplacementAwaitingAttest(int replica_index, uint32_t machine, uint16_t port);
-
-  // Enqueues the leader checkpoint for an attested replacement (clears its
-  // awaiting-snapshot gate; data frames published afterwards queue behind it).
-  // `delta` as for AddReplacement.
   void EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot, bool delta);
 
-  // Refuses an attested replacement whose attestation verified but whose claims
-  // the front end cannot serve (a sync-log cursor outside the leader's log): the
+  // Refuses a replacement whose JOIN verified but whose claims the front end
+  // cannot serve (a sync-log cursor outside the leader's log): the
   // slot dies like one with a digest mismatch, counted in rb_auth_join_rejects.
   void RefuseAttestedJoin(int replica_index, const char* reason);
 
-  // Invoked from inside the pump when a replacement's attestation verifies, with
-  // the replica index and the sync-log replay cursor it attested. Implementations
-  // must defer heavy work (e.g. checkpointing) to a scheduled event.
+  // Invoked from inside the pump when a replacement's JOIN verifies, with the
+  // replica index and the sync-log replay cursor it claims. Implementations must
+  // defer heavy work (e.g. checkpointing) to a scheduled event.
   void set_on_attested_join(std::function<void(int, uint64_t)> cb) {
     on_attested_join_ = std::move(cb);
   }
@@ -195,7 +191,7 @@ class RbTransport {
   // v4 wrap-gate channel: the highest sync-log replay cursor `replica_index` has
   // piggybacked on its acks (0 before any cursor arrived; frozen across death —
   // a dead replica's last acknowledged cursor still gates overwrites until its
-  // replacement attests a fresh one).
+  // replacement acks a fresh one). A JOIN's cursor is a claim, never latched.
   uint64_t SyncCursorFor(int replica_index) const;
   // Invoked (with the replica index) whenever an ack advances a replay cursor —
   // wired to the master sync agent's wraparound gate.
@@ -203,8 +199,8 @@ class RbTransport {
 
   // Leader clock sampled when an entry frame is opened; folded into the sender
   // slot's delta basis when the frame's cumulative ack arrives. Unset, acks still
-  // advance the per-rank offsets but the version horizons stay 0 (a delta then
-  // ships every dirty file-map page and epoll row — correct, just larger).
+  // advance the per-rank offsets but the file-map horizon stays 0 (a delta then
+  // ships every dirty file-map page — correct, just larger).
   void set_leader_clock(std::function<RbLeaderClock()> fn) {
     leader_clock_ = std::move(fn);
   }
@@ -272,19 +268,19 @@ class RbTransport {
     RbFrameParser parser;                    // For the ack stream.
     uint64_t observer_id = 0;
     bool dead = false;
-    // v4 state: nothing is written until `attested` (auth off => attested at
-    // creation); a replacement additionally holds data until its checkpoint is
-    // enqueued. max_peer_epoch enforces epoch monotonicity on received frames;
+    // Join state: nothing is written until the JOIN verifies (`attested`); a
+    // replacement additionally holds data until its checkpoint is enqueued.
+    // max_peer_epoch enforces epoch monotonicity on received frames;
     // sync_cursor latches the ack-piggybacked replay cursor (monotonic max).
     bool attested = false;
     bool awaiting_snapshot = false;
     uint32_t max_peer_epoch = 0;
     uint64_t sync_cursor = 0;
-    // The placement this slot was told to connect to; an authenticated join must
-    // attest exactly it (a replacement cannot claim a machine it was not given).
+    // The placement this slot was told to connect to; the JOIN must attest
+    // exactly it (a replacement cannot claim a machine it was not given).
     uint32_t machine = 0;
-    // Pending-connect watchdog (Options::connect_timeout); cancelled the moment
-    // the socket leaves the SYN state or the slot dies/revives.
+    // Pending-connect watchdog (kConnectTimeout); cancelled the moment the
+    // socket leaves the SYN state or the slot dies/revives.
     EventQueue::EventId connect_timer = 0;
     // O(delta) re-seed state: per-frame send metadata awaiting its cumulative
     // ack, and the basis those acks fold into. Both cleared on death/detach
@@ -314,16 +310,17 @@ class RbTransport {
   // Arms / cancels the pending-connect watchdog for a slot.
   void ArmConnectTimer(Remote& r);
   void DisarmConnectTimer(Remote& r);
-  // Tears down the dead slot's socket and revives it on a fresh connection with a
-  // fresh per-connection sequence space (shared by both replacement flavors).
-  Remote* ReviveSlot(int replica_index, uint32_t machine, uint16_t port);
+  // Opens the slot's connection to `machine`:`port` with a fresh per-connection
+  // state (sequence space, queues, parser, join state), dropping any previous
+  // socket's observer first. Shared by first connections and replacements.
+  void Connect(Remote& r, uint32_t machine, uint16_t port);
   void EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snapshot, bool delta);
-  // The slot of an attested replacement still waiting for its checkpoint, or
-  // nullptr when there is none (never attested, already served, or dead).
+  // The slot of a joined replacement still waiting for its checkpoint, or
+  // nullptr when there is none (not joined yet, already served, or dead).
   Remote* AttestedReplacement(int replica_index);
   // Seals `frame` when authentication is on (no-op otherwise).
   void Seal(std::vector<uint8_t>* frame);
-  // Verifies a join attestation; returns false when the link was torn.
+  // Verifies a JOIN; returns false when the link was torn.
   bool HandleAttest(Remote& r, const RbWireFrame& frame);
 
   Kernel* kernel_;
@@ -345,7 +342,11 @@ class SyncAgent;
 // replica's sync-agent log mirror), and acknowledges.
 class RemoteSyncAgent {
  public:
-  RemoteSyncAgent(Kernel* kernel, IpMon* mon, uint32_t machine, uint16_t port);
+  // The agent opens every connection with a JOIN carrying `config_digest`;
+  // `auth` (nullptr = plain CRC stream) verifies/opens leader frames and seals
+  // the JOIN and acks.
+  RemoteSyncAgent(Kernel* kernel, IpMon* mon, uint32_t machine, uint16_t port,
+                  const RbAuthContext* auth, uint64_t config_digest);
   ~RemoteSyncAgent();
   RemoteSyncAgent(const RemoteSyncAgent&) = delete;
   RemoteSyncAgent& operator=(const RemoteSyncAgent&) = delete;
@@ -354,11 +355,6 @@ class RemoteSyncAgent {
   // machine-local log mirror. Unset for single-threaded (agent-less) workloads —
   // receiving a sync frame without one is a configuration divergence.
   void set_sync_agent(SyncAgent* agent) { sync_agent_ = agent; }
-
-  // Wire v4 authentication: verify/open leader frames, seal acks, and present a
-  // sealed join attestation carrying `config_digest` as the connection's first
-  // frame. Call before Start().
-  void set_auth(const RbAuthContext* auth, uint64_t config_digest);
 
   // Binds + listens; call before the leader's RbTransport connects.
   void Start();
@@ -449,10 +445,10 @@ class RemoteSyncAgent {
   uint32_t join_epoch_ = 0;
   uint64_t joins_ = 0;
   uint64_t last_join_lockstep_cursor_ = 0;
-  // Wire v4: authentication context, the digest attested at accept, and the
-  // replay gates — epoch must never regress across any frame type, and data
-  // frame_seq is strictly increasing per connection. last_ack_* lets cursor
-  // updates re-announce the newest applied frame.
+  // Authentication context (nullptr on plain streams), the digest the JOIN
+  // presents, and the replay gates — epoch must never regress across any frame
+  // type, and data frame_seq is strictly increasing per connection. last_ack_*
+  // lets cursor updates re-announce the newest applied frame.
   const RbAuthContext* auth_ = nullptr;
   uint64_t config_digest_ = 0;
   std::optional<uint64_t> attest_cursor_override_;

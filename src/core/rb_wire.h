@@ -54,23 +54,24 @@
 //
 // kSnapshotDelta (since v5; the only checkpoint opener since v6) announces the
 // checkpoint's basis: per-rank resume offsets, the leader's RB reset generation
-// (the lap guard), the file-map pages and epoll-shadow rows written past the
-// basis, and the sync-log slots past it. A full checkpoint is the delta against
+// (the lap guard), the file-map pages written past the basis, and the sync-log
+// slots past it. A full checkpoint is the delta against
 // the empty basis. Type code 3 (kSnapshotBegin, the v2–v5 full-checkpoint opener)
 // is retired: the parser rejects it as corrupt. docs/RB_WIRE_FORMAT.md
 // ("SNAPSHOT_DELTA") is the normative payload layout.
 //
-// kJoinAttest (agent -> leader, since v4) opens an authenticated connection: the
-// replica presents its index, its configuration digest (RB geometry, sync-log
-// geometry, descriptor-registry hash — RbConfigDigest in src/core/rb_auth.h),
-// and its sync-log replay cursor. The leader verifies index + digest before any
-// frame is sent to the replica; on a replacement connection the checkpoint is
-// captured only after the attestation verifies. Payload (32 bytes):
+// kJoinAttest (agent -> leader; since v4, on every connection since v7) opens the
+// connection, sealed on authenticated streams: the replica presents its index,
+// its configuration digest (RB geometry, sync-log geometry, descriptor-registry
+// hash — RbConfigDigest in src/core/rb_auth.h), its placement and its sync-log
+// replay cursor. The leader verifies index, digest and placement before any frame
+// is sent to the replica; on a replacement connection the checkpoint is cut only
+// after the JOIN verifies, against the cursor it claims. Payload (32 bytes):
 //
 //   u32 replica_index   echoes the header rank field
 //   u32 reserved        zero
 //   u64 config_digest   must equal the leader's own digest
-//   u64 sync_cursor     the replica's replay cursor (seeds the wrap gate / re-seed)
+//   u64 sync_cursor     the replica's replay cursor (the re-seed resumes there)
 //   u32 machine         since v5: the machine id the replica is placed on — a
 //                       replacement attesting from a machine other than the one
 //                       the dead replica occupied makes respawn a migration; the
@@ -108,8 +109,10 @@ inline constexpr uint32_t kRbWireMagic = 0x46574252;  // "RBWF" little-endian.
 // added kSnapshotDelta (O(delta) re-seed) and the attested placement field
 // (respawn-as-migration); version 6 retired kSnapshotBegin, leaving kSnapshotDelta
 // as the one checkpoint opener (a full checkpoint is a delta against the empty
-// basis).
-inline constexpr uint16_t kRbWireVersion = 6;
+// basis); version 7 opens every connection with kJoinAttest (sealed only on
+// authenticated streams) and drops the opener's epoll-shadow rows (their count
+// field is reserved, zero).
+inline constexpr uint16_t kRbWireVersion = 7;
 inline constexpr uint64_t kRbWireHeaderSize = 48;
 inline constexpr uint64_t kRbWireEntryHeaderSize = 16;
 inline constexpr uint64_t kRbWireSyncRecordSize = 8;
@@ -129,8 +132,8 @@ enum class RbFrameType : uint16_t {
   kSnapshotEnd = 5,
   // Leader -> remote agent: appended sync-agent log records (src/core/sync_agent.h).
   kSyncLog = 6,
-  // Remote agent -> leader: authenticated-join attestation (identity + config
-  // digest + replay cursor), the first frame of an authenticated connection.
+  // Remote agent -> leader: the JOIN (identity, config digest, placement, replay
+  // cursor), the first frame of every connection.
   kJoinAttest = 7,
   // Leader -> replacement agent (since v5): opens every re-seed — per-rank resume
   // offsets, reset-generation lap guard, file-map/epoll rows and sync-log slots
@@ -218,7 +221,7 @@ class RbWireCodec {
   static std::vector<uint8_t> EncodeAck(uint32_t epoch, uint64_t ack_seq,
                                         uint64_t sync_cursor = 0);
 
-  // Serializes the attested-join handshake frame (agent -> leader): the joining
+  // Serializes the JOIN handshake frame (agent -> leader): the joining
   // replica's index, its config digest, its sync-log replay cursor, and (v5) the
   // machine it is placed on.
   static std::vector<uint8_t> EncodeJoinAttest(uint32_t epoch, uint32_t replica_index,

@@ -214,16 +214,16 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
   // Cross-machine replica sets: one RemoteSyncAgent per remote replica (listening
   // on that machine), one leader-side RbTransport pumping frames to all of them.
   if (any_remote) {
-    // Authenticated wire (v4): one key schedule shared by the leader-side
-    // transport and every remote agent, plus the config digest an attested join
-    // must present — RB geometry, sync-log geometry, and the syscall descriptor
-    // registry a well-formed peer would be built from.
+    // The config digest every JOIN must present — RB geometry, sync-log
+    // geometry, and the syscall descriptor registry a well-formed peer would be
+    // built from — plus, under rb_auth (wire v4), one key schedule shared by the
+    // leader-side transport and every remote agent.
+    config_digest_ = RbConfigDigest(options_.rb_size,
+                                    static_cast<uint32_t>(options_.max_ranks),
+                                    options_.use_sync_agent ? options_.sync_log_size : 0,
+                                    DescriptorRegistryDigest());
     if (options_.rb_auth) {
       auth_ = std::make_unique<RbAuthContext>(options_.rb_auth_secret);
-      config_digest_ = RbConfigDigest(
-          options_.rb_size, static_cast<uint32_t>(options_.max_ranks),
-          options_.use_sync_agent ? options_.sync_log_size : 0,
-          DescriptorRegistryDigest());
     }
     RbTransport::Options topts;
     topts.auth = auth_.get();
@@ -236,11 +236,8 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
       }
       uint16_t port = static_cast<uint16_t>(kRbTransportPortBase + i);
       IpMon* mon = ipmons_[static_cast<size_t>(i)].get();
-      auto agent =
-          std::make_unique<RemoteSyncAgent>(kernel_, mon, machine_for(i), port);
-      if (auth_ != nullptr) {
-        agent->set_auth(auth_.get(), config_digest_);
-      }
+      auto agent = std::make_unique<RemoteSyncAgent>(kernel_, mon, machine_for(i), port,
+                                                     auth_.get(), config_digest_);
       agent->Start();  // Listener up before the transport's SYN can arrive.
       mon->set_rb_private_mirror(true);
       if (sync_agent(i) != nullptr) {
@@ -259,12 +256,11 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
     }
     ipmons_[0]->set_transport(transport_.get());
     // Leader clock for the ack-horizon fold: every kEntries frame is stamped with
-    // the leader's reset generation and file-map/epoll version counters at send
-    // time, so a remote's acked horizon doubles as a delta-capture basis.
+    // the leader's reset generation and file-map version at send time, so a
+    // remote's acked horizon doubles as a delta-capture basis.
     IpMon* clock_mon = ipmons_[0].get();
     transport_->set_leader_clock([clock_mon] {
-      return RbLeaderClock{clock_mon->rb_resets(), clock_mon->file_map()->version(),
-                           clock_mon->epoll_shadow().version()};
+      return RbLeaderClock{clock_mon->rb_resets(), clock_mon->file_map()->version()};
     });
     if (!agents_.empty()) {
       // Master sync agent streams every append over the transport.
@@ -321,11 +317,12 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
                            "remote replica " + std::to_string(idx) +
                                " link down (stream epoch bumped)");
     });
-    // Attested join (rb_auth): the leader checkpoints *after* the replacement
-    // proved its identity + config digest, never before. The callback fires from
-    // inside the transport's Pump; defer the (heavy) checkpoint one event so the
-    // capture runs outside the frame-processing path. Uses the same cancellable
-    // id_cell bookkeeping as the respawn events.
+    // Every re-seed checkpoint is cut here, *after* the replacement's JOIN
+    // verified its identity, config digest and placement, and against the cursor
+    // the JOIN claims — the leader never reads a remote replica's host state. The
+    // callback fires from inside the transport's Pump; defer the (heavy)
+    // checkpoint one event so the capture runs outside the frame-processing
+    // path. Uses the same cancellable id_cell bookkeeping as the respawn events.
     transport_->set_on_attested_join([this](int idx, uint64_t attest_cursor) {
       auto id_cell = std::make_shared<EventQueue::EventId>(0);
       *id_cell = kernel_->sim()->queue().ScheduleAfter(
@@ -336,7 +333,7 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
             if (ghumvee_ == nullptr || ghumvee_->shutdown_requested() || finished()) {
               return;
             }
-            // The attested cursor is the peer's word, checked here at the point of
+            // The claimed cursor is the peer's word, checked here at the point of
             // use: the checkpoint can only resume a replay cursor inside the
             // leader's occupied log lap. A claim outside it refuses the join.
             const SyncAgent* sync_master = sync_agent(0);
@@ -347,8 +344,12 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
               return;
             }
             RbDeltaBasis basis = ReseedBasis(idx);
-            transport_->EnqueueSnapshot(idx, CutCheckpoint(attest_cursor, basis),
-                                        basis.valid);
+            transport_->EnqueueSnapshot(
+                idx,
+                SerializeSnapshot(CaptureLeaderSnapshot(ipmons_[0].get(), ghumvee_.get(),
+                                                        sync_master, attest_cursor,
+                                                        basis)),
+                basis.valid);
           });
       pending_respawns_.push_back(*id_cell);
     });
@@ -420,10 +421,8 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
   uint16_t port = static_cast<uint16_t>(kRbTransportPortBase + replica_index +
                                         512 * generation);
   remote_agents_[static_cast<size_t>(replica_index)]->Shutdown();
-  auto agent = std::make_unique<RemoteSyncAgent>(kernel_, mon, machine, port);
-  if (auth_ != nullptr) {
-    agent->set_auth(auth_.get(), config_digest_);
-  }
+  auto agent = std::make_unique<RemoteSyncAgent>(kernel_, mon, machine, port,
+                                                 auth_.get(), config_digest_);
   agent->Start();  // Listener up before the transport's SYN can arrive.
   if (sync_agent(replica_index) != nullptr) {
     agent->set_sync_agent(sync_agent(replica_index));
@@ -434,25 +433,10 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
         ->set_on_consumed([cursor_agent] { cursor_agent->SendCursorUpdate(); });
   }
 
-  if (auth_ != nullptr) {
-    // Authenticated join: the leader holds the checkpoint until the replacement
-    // presents a valid attestation (identity + config digest) as the first frame
-    // on the new connection. The snapshot is captured by the on_attested_join
-    // deferral, against the cursor the attestation itself carries.
-    transport_->AddReplacementAwaitingAttest(replica_index, machine, port);
-  } else {
-    // Checkpoint and enqueue within one event: no publication can slip between
-    // the captured image and the first data frame behind it on the new
-    // connection. The capture's quiescent flush also drains the sync-log stream,
-    // so the checkpoint's sync image ends exactly where the first post-snapshot
-    // kSyncLog frame begins.
-    SyncAgent* replica_agent = sync_agent(replica_index);
-    RbDeltaBasis basis = ReseedBasis(replica_index);
-    transport_->AddReplacement(
-        replica_index, machine, port,
-        CutCheckpoint(replica_agent != nullptr ? replica_agent->read_cursor() : 0, basis),
-        basis.valid);
-  }
+  // The leader holds the checkpoint until the replacement's JOIN verifies as the
+  // first frame on the new connection; the on_attested_join deferral then cuts
+  // it against the cursor the JOIN carries.
+  transport_->AddReplacement(replica_index, machine, port);
   remote_agents_[static_cast<size_t>(replica_index)] = std::move(agent);
   ++respawns_;
   return true;
@@ -462,9 +446,9 @@ RbDeltaBasis Remon::ReseedBasis(int replica_index) {
   // The empty basis (--reseed=full, and the fallback) ships the whole leader
   // state; a usable acked horizon ships only what the replacement lacks. Usable
   // means it still describes the leader's current RB: a reset in between rebased
-  // every offset. The sync log needs no check of its own: the replay cursor is
-  // in the occupied lap (the wrap gate froze the dead replica's cursor, and an
-  // attested one was checked), so the slice past it always fits one lap.
+  // every offset. The sync log needs no check of its own: the replay cursor the
+  // JOIN claims was checked against the occupied lap before the cut, so the
+  // slice past it always fits one lap.
   if (options_.reseed_mode != ReseedMode::kDelta || transport_ == nullptr) {
     return RbDeltaBasis{};
   }
@@ -475,12 +459,6 @@ RbDeltaBasis Remon::ReseedBasis(int replica_index) {
   }
   ++kernel_->stats().rb_snapshot_delta_captures;
   return basis;
-}
-
-SnapshotPayloads Remon::CutCheckpoint(uint64_t sync_read_cursor,
-                                      const RbDeltaBasis& basis) {
-  return SerializeSnapshot(CaptureLeaderSnapshot(ipmons_[0].get(), ghumvee_.get(),
-                                                 sync_agent(0), sync_read_cursor, basis));
 }
 
 void Remon::DecayRespawnBudget(int replica_index) {

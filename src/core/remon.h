@@ -74,8 +74,8 @@ struct RemonOptions {
   // whole leader state (O(RB size), the pre-delta behavior). --reseed=delta|full.
   ReseedMode reseed_mode = ReseedMode::kDelta;
   // Respawn-as-migration: respawn replacements onto this machine instead of the
-  // machine the replica died on (-1 keeps the placement). The replacement's join
-  // attestation carries the new placement. --respawn-target=N.
+  // machine the replica died on (-1 keeps the placement). The replacement's JOIN
+  // carries the new placement. --respawn-target=N.
   int respawn_target_machine = -1;
   // Memory pressure of the workload in [0, 1] (drives the replica-contention
   // dilation of compute bursts; see CostModel).
@@ -90,10 +90,11 @@ struct RemonOptions {
   IpmonWaitMode wait_mode = IpmonWaitMode::kAuto;
   // §4 extension: periodically migrate the RB to fresh addresses at flush points.
   bool rb_migration = false;
-  // Authenticated RB transport (wire v4): seal every cross-machine frame with a
-  // keyed MAC + stream encryption, require an attested join before a replacement
-  // replica is seeded, and rotate session keys at every epoch bump. Local-only
-  // replica sets ignore the flag (there is no wire to protect).
+  // Authenticated RB transport (wire v4): seal every cross-machine frame — the
+  // JOIN included — with a keyed MAC + stream encryption, and rotate session keys
+  // at every epoch bump. JOIN verification (digest, placement) runs on every
+  // stream either way. Local-only replica sets ignore the flag (there is no wire
+  // to protect).
   bool rb_auth = false;
   // Pre-shared key material both ends derive their session keys from. The
   // simulation models distribution as out-of-band (a deployment would provision
@@ -128,16 +129,17 @@ class Remon {
   // (sync-agent + IP-MON initialization, as configured) before the workload body.
   void Launch(ProgramFn body, const std::string& name = "app");
 
-  // Checkpoints the leader at a quiescent flush point and attaches a replacement
-  // replica for `replica_index` — a remote replica whose link died — at the
-  // current (post-bump) stream epoch: fresh agent on a generation-distinct port,
-  // snapshot frames leading the new connection's stream. Returns false when there
-  // is nothing to replace (not remote, link still live, MVEE shutting down).
+  // Attaches a replacement replica for `replica_index` — a remote replica whose
+  // link died — at the current (post-bump) stream epoch: fresh agent on a
+  // generation-distinct port. Once its JOIN verifies, the leader checkpoint is
+  // cut against the cursor the JOIN claims and leads the new connection's
+  // stream. Returns false when there is nothing to replace (not remote, MVEE
+  // shutting down).
   // Invoked automatically on remote death under respawn_dead_replicas.
   // `target_machine` >= 0 places the replacement there instead of the machine the
   // replica ran on (respawn-as-migration): a still-live link is retired quietly
-  // first (no death event, no respawn-budget charge), and the join attestation
-  // must present the new placement. -1 keeps the current placement.
+  // first (no death event, no respawn-budget charge), and the JOIN must present
+  // the new placement. -1 keeps the current placement.
   bool SpawnReplacement(int replica_index, int target_machine = -1);
   // The basis `replica_index`'s replacement checkpoint is cut against: the
   // transport's ack-folded basis when reseed_mode allows and the basis is usable
@@ -201,9 +203,9 @@ class Remon {
   // Cross-machine replica sets: the leader-side frame pump and the per-replica
   // remote agents (slots for local replicas stay null). Declared after ipmons_ so
   // they are destroyed first — agents hold raw IpMon pointers.
-  // Authenticated transport (rb_auth): shared key schedule + the config digest
-  // every attested join must present. Transport and agents hold non-owning
-  // pointers; declared before them so it outlives their destruction.
+  // The config digest every JOIN must present, and under rb_auth the shared key
+  // schedule. Transport and agents hold non-owning pointers; declared before
+  // them so it outlives their destruction.
   std::unique_ptr<RbAuthContext> auth_;
   uint64_t config_digest_ = 0;
   std::unique_ptr<RbTransport> transport_;
@@ -222,9 +224,6 @@ class Remon {
   // Refunds respawn attempts earned by healthy time since the last charge
   // (respawn_budget_decay per attempt). Called before every cap check.
   void DecayRespawnBudget(int replica_index);
-  // Serializes a leader checkpoint against `basis` for a replacement whose sync
-  // replay resumes at `sync_read_cursor`.
-  SnapshotPayloads CutCheckpoint(uint64_t sync_read_cursor, const RbDeltaBasis& basis);
 };
 
 }  // namespace remon

@@ -24,8 +24,8 @@ constexpr uint32_t kMaxSnapshotRanks = 4096;
 // kSnapshotDelta payload header (fixed 104 bytes since wire v5, the only
 // checkpoint opener since v6). The variable sections that follow: rank records
 // (cursor, seq, delta_from — 24 bytes each), shipped file-map pages (u32 page
-// index + one page of bytes each), epoll shadow rows, and the sync-log slice
-// [sync_from, sync_tail) in seq order.
+// index + one page of bytes each), and the sync-log slice [sync_from, sync_tail)
+// in seq order.
 constexpr size_t kDeltaOffRbSize = 0;
 constexpr size_t kDeltaOffMaxRanks = 8;
 constexpr size_t kDeltaOffRankCount = 12;
@@ -37,7 +37,7 @@ constexpr size_t kDeltaOffResetGen = 40;
 constexpr size_t kDeltaOffFmPageCount = 48;
 constexpr size_t kDeltaOffFmDirtyCount = 52;
 constexpr size_t kDeltaOffFmCrc = 56;
-constexpr size_t kDeltaOffEpollCount = 60;
+constexpr size_t kDeltaOffReserved = 60;  // Zero (the v5-v6 epoll row count).
 constexpr size_t kDeltaOffSyncLogSize = 64;
 constexpr size_t kDeltaOffSyncTail = 72;
 constexpr size_t kDeltaOffSyncCursor = 80;
@@ -207,18 +207,6 @@ ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
     }
   }
 
-  // Every live row carries a version >= 1, so the empty basis ships them all.
-  master->epoll_shadow().ForEachSince(
-      basis.valid ? basis.epoll_version : 0, [&snap](int epfd, int fd, uint64_t data) {
-        snap.epoll.push_back(EpollShadowTriple{epfd, fd, data});
-      });
-  // Hash-map enumeration order is not part of the checkpoint: sort so the wire
-  // bytes are identical across standard-library implementations.
-  std::sort(snap.epoll.begin(), snap.epoll.end(),
-            [](const EpollShadowTriple& a, const EpollShadowTriple& b) {
-              return a.epfd != b.epfd ? a.epfd < b.epfd : a.fd < b.fd;
-            });
-
   if (sync_master != nullptr && sync_master->log_valid()) {
     snap.sync_log_size = sync_master->config().log_size;
     snap.sync_tail = sync_master->tail();
@@ -228,10 +216,10 @@ ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
     snap.sync_from =
         basis.valid ? sync_read_cursor
                     : snap.sync_tail - std::min(snap.sync_tail, sync_master->capacity());
-    // The wrap gate (SyncAgent::MinPeerReadCursor) freezes a dead replica's
-    // cursor, so the leader never overwrote a slot the replacement has yet to
-    // replay: the slice always reaches back to the cursor. A cursor that arrived
-    // in a join attestation was checked against the lap before the capture.
+    // The cursor is the replacement's JOIN claim, checked against the lap before
+    // the capture; the wrap gate (SyncAgent::MinPeerReadCursor) freezes a dead
+    // replica's acked cursor, so the leader never overwrote a slot the replica
+    // has yet to replay.
     REMON_CHECK_MSG(sync_master->CursorInLap(sync_read_cursor),
                     "checkpoint after the sync log wrapped past the replica cursor");
     snap.sync_image = sync_master->CaptureLogDelta(snap.sync_from);
@@ -269,8 +257,7 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
       std::max(snap.file_map_page_count, static_cast<uint32_t>(fm_shipped));
 
   out.begin.assign(kDeltaHeaderSize + rank_count * kDeltaRankRecordSize +
-                       fm_shipped * kDeltaFmPageRecordSize + snap.epoll.size() * 16 +
-                       snap.sync_image.size(),
+                       fm_shipped * kDeltaFmPageRecordSize + snap.sync_image.size(),
                    0);
   PutU64(&out.begin, kDeltaOffRbSize, snap.rb_size);
   PutU32(&out.begin, kDeltaOffMaxRanks, static_cast<uint32_t>(snap.max_ranks));
@@ -283,7 +270,6 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   PutU32(&out.begin, kDeltaOffFmPageCount, fm_page_count);
   PutU32(&out.begin, kDeltaOffFmDirtyCount, static_cast<uint32_t>(fm_shipped));
   PutU32(&out.begin, kDeltaOffFmCrc, snap.file_map_crc);
-  PutU32(&out.begin, kDeltaOffEpollCount, static_cast<uint32_t>(snap.epoll.size()));
   PutU64(&out.begin, kDeltaOffSyncLogSize, snap.sync_log_size);
   PutU64(&out.begin, kDeltaOffSyncTail, snap.sync_tail);
   PutU64(&out.begin, kDeltaOffSyncCursor, snap.sync_read_cursor);
@@ -303,12 +289,6 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
     std::memcpy(out.begin.data() + pos + 4, snap.file_map.data() + i * kPageSize,
                 kPageSize);
     pos += kDeltaFmPageRecordSize;
-  }
-  for (const EpollShadowTriple& t : snap.epoll) {
-    PutU32(&out.begin, pos, static_cast<uint32_t>(t.epfd));
-    PutU32(&out.begin, pos + 4, static_cast<uint32_t>(t.fd));
-    PutU64(&out.begin, pos + 8, t.data);
-    pos += 16;
   }
   if (!snap.sync_image.empty()) {
     std::memcpy(out.begin.data() + pos, snap.sync_image.data(), snap.sync_image.size());
@@ -348,12 +328,14 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   uint32_t rank_count = GetU32(payload, kDeltaOffRankCount);
   uint32_t fm_page_count = GetU32(payload, kDeltaOffFmPageCount);
   uint32_t fm_dirty_count = GetU32(payload, kDeltaOffFmDirtyCount);
-  uint32_t epoll_count = GetU32(payload, kDeltaOffEpollCount);
   if (rb_size == 0 || rb_size > kMaxSnapshotRbSize || (rb_size & kPageMask) != 0 ||
       max_ranks == 0 || max_ranks > kMaxSnapshotRanks || rank_count != max_ranks ||
       fm_page_count == 0 || fm_page_count > kMaxSnapshotFileMapPages ||
       fm_dirty_count > fm_page_count) {
     return Fail("snapshot begin metadata out of bounds");
+  }
+  if (GetU32(payload, kDeltaOffReserved) != 0) {
+    return Fail("snapshot begin reserved field not zero");
   }
   uint64_t sync_log_size = GetU64(payload, kDeltaOffSyncLogSize);
   uint64_t sync_tail = GetU64(payload, kDeltaOffSyncTail);
@@ -386,7 +368,7 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   }
   uint64_t variable = static_cast<uint64_t>(rank_count) * kDeltaRankRecordSize +
                       static_cast<uint64_t>(fm_dirty_count) * kDeltaFmPageRecordSize +
-                      static_cast<uint64_t>(epoll_count) * 16 + sync_image_len;
+                      sync_image_len;
   if (payload.size() != kDeltaHeaderSize + variable) {
     return Fail("snapshot begin payload size mismatch");
   }
@@ -427,14 +409,6 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
                           payload.begin() + static_cast<long>(pos + 4),
                           payload.begin() + static_cast<long>(pos + 4 + kPageSize));
     pos += kDeltaFmPageRecordSize;
-  }
-  for (uint32_t i = 0; i < epoll_count; ++i) {
-    EpollShadowTriple t;
-    t.epfd = static_cast<int32_t>(GetU32(payload, pos));
-    t.fd = static_cast<int32_t>(GetU32(payload, pos + 4));
-    t.data = GetU64(payload, pos + 8);
-    snap_.epoll.push_back(t);
-    pos += 16;
   }
   snap_.sync_image.assign(payload.begin() + static_cast<long>(pos),
                           payload.begin() + static_cast<long>(pos + sync_image_len));

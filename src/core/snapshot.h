@@ -20,9 +20,10 @@
 //     and the RB reset generation the offsets belong to;
 //   * the GHUMVEE lockstep cursor (rounds completed at capture) — the monitored
 //     synchronization point the replacement resumes from;
-//   * the file-map pages written past the basis plus a whole-map CRC, and the
-//     epoll-shadow rows written past it, which the rejoining side cross-checks
-//     against its own state (the empty basis ships every page and row);
+//   * the file-map pages written past the basis plus a whole-map CRC, which the
+//     rejoining side cross-checks against its own map (the empty basis ships
+//     every page). The epoll shadow (§3.9) is not carried: its data cookies are
+//     per-replica, and the re-seeded replica's own IP-MON shadow survives;
 //   * the sync-agent log slots past the basis in seq order, with the tail and the
 //     target replica's replay cursor, so multi-threaded replacements resume
 //     BeforeAcquire replay exactly where they left off (src/core/sync_agent.h;
@@ -93,12 +94,6 @@ bool RestoreVmaImage(AddressSpace* mem, GuestAddr start, const VmaImage& image);
 
 // --- The leader checkpoint ---------------------------------------------------------
 
-struct EpollShadowTriple {
-  int32_t epfd = 0;
-  int32_t fd = 0;
-  uint64_t data = 0;
-};
-
 struct ReplicaSnapshot {
   uint64_t rb_size = 0;
   int max_ranks = 0;
@@ -117,7 +112,6 @@ struct ReplicaSnapshot {
   uint32_t file_map_page_count = 0;  // Leader map geometry.
   uint32_t file_map_crc = 0;         // CRC-32 over the whole leader map: the
                                      // cross-check covering unshipped pages.
-  std::vector<EpollShadowTriple> epoll;  // Leader (epfd, fd) -> data rows.
   // Sync-agent log section; all zero when the workload runs no agent.
   uint64_t sync_log_size = 0;      // Log segment geometry (validated by the joiner).
   uint64_t sync_tail = 0;          // Absolute op count at capture.
@@ -131,27 +125,26 @@ struct ReplicaSnapshot {
 // resumes from. A valid basis is only usable while the leader's RB reset
 // generation still matches — a reset rewrites offsets wholesale — otherwise the
 // caller cuts against the empty basis RbDeltaBasis{} (valid == false), which
-// resumes every rank at its data start and ships every file-map page, every
-// epoll row and the whole occupied sync-log lap.
+// resumes every rank at its data start and ships every file-map page and the
+// whole occupied sync-log lap.
 struct RbDeltaBasis {
   bool valid = false;
   uint64_t reset_generation = 0;   // IpMon::rb_resets() the offsets belong to.
   std::vector<uint64_t> from_off;  // Per rank: highest acked entry offset (0 = none).
   uint64_t fm_version = 0;         // FileMap::version() horizon.
-  uint64_t epoll_version = 0;      // EpollShadowMap::version() horizon.
 };
 
 // Checkpoints the leader against `basis` (the master defers no publication, so
 // none is invisible in the image): captures the global/rank headers plus each
 // rank's [basis offset, cursor) window — one acked entry of overlap, idempotent
 // under the forward-only apply discipline — the lockstep cursor, and the
-// file-map, epoll and sync-log state past the basis. `ghumvee` may be null
-// (lockstep cursor 0).
+// file-map and sync-log state past the basis. `ghumvee` may be null (lockstep
+// cursor 0).
 // For multi-threaded workloads, `sync_master` is the leader's record/replay agent
-// and `sync_read_cursor` the replay cursor of the replica being re-seeded — in a
-// distributed deployment the cursor arrives with the join request; here the
-// front end reads it off the replica's agent. A valid basis must belong to the
-// current reset generation; Remon::ReseedBasis owns that decision.
+// and `sync_read_cursor` the replay cursor of the replica being re-seeded, as
+// its JOIN claimed it (checked against the occupied log lap before the cut). A
+// valid basis must belong to the current reset generation; Remon::ReseedBasis
+// owns that decision.
 ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
                                       const SyncAgent* sync_master = nullptr,
                                       uint64_t sync_read_cursor = 0,
@@ -236,9 +229,8 @@ struct SnapshotApplyResult {
 //     consumer is not corrupted). A non-empty basis from another generation is
 //     refused.
 // Cross-checks the shipped file-map pages byte-for-byte plus the whole-map CRC (a
-// mismatch means the streams diverged and the join is rejected) and counts — but
-// tolerates — epoll-shadow keys the replica has not recorded yet (its consumer
-// threads may legitimately lag the leader). The sync slice restores into
+// mismatch means the streams diverged and the join is rejected). The sync slice
+// restores into
 // `sync_agent`'s log mirror (SyncAgent::ApplyLogDelta: geometry, cursor, and
 // per-slot divergence checks; tail word last) — carrying one while the replica
 // runs no agent, or vice versa, refuses the join.

@@ -333,7 +333,7 @@ uint64_t DescriptorRegistryDigest() {
   // Field-by-field serialization (never raw struct bytes: padding is not part of
   // the contract), each field widened to a fixed-width integer, rows in syscall
   // number order. Any table change — a new row, a reclassified argument, a policy
-  // default — moves the digest and fails the attested join's config check.
+  // default — moves the digest and fails the JOIN's config check.
   std::vector<uint8_t> buf;
   buf.reserve(static_cast<size_t>(kNumSyscalls) * 96);
   auto u32 = [&buf](uint32_t v) { AppendBytes(&buf, &v, 4); };

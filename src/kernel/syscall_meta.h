@@ -184,7 +184,7 @@ struct SyscallDesc {
 const SyscallDesc& DescOf(Sys nr);
 
 // Keyed digest over the entire descriptor table, field by field in syscall-number
-// order. Part of the config digest an attested transport join presents (wire v4,
+// order. Part of the config digest every transport JOIN presents (wire v7,
 // src/core/rb_auth.h): two monitors that would classify even one call differently
 // — different argument classes, policy defaults, FD semantics — must not form a
 // replica set, because every downstream equivalence check assumes the registry is

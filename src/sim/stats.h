@@ -87,8 +87,9 @@ struct SimStats {
   uint64_t rb_auth_frames_sealed = 0;    // Frames MAC-sealed before send (both flows).
   uint64_t rb_auth_frames_rejected = 0;  // Sealed frames refused (bad MAC / forged).
   uint64_t rb_epoch_regressions = 0;     // Stale-epoch frames that tore a link.
-  uint64_t rb_auth_joins = 0;            // Join attestations the leader accepted.
-  uint64_t rb_auth_join_rejects = 0;     // Attestations refused (digest mismatch).
+  // The JOIN counters count on every stream, sealed or plain (wire v7).
+  uint64_t rb_auth_joins = 0;            // JOINs the leader verified.
+  uint64_t rb_auth_join_rejects = 0;     // JOINs refused (digest/placement/cursor).
 
   // Per-epoch transport breakdown (see RbEpochStats).
   std::vector<RbEpochStats> rb_epochs;

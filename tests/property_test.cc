@@ -1414,9 +1414,13 @@ TEST(SyncLockstepTest, ForgedAttestedSyncCursorJoinRefused) {
       SyncFuzzOutcome out = RunSyncFuzz(
           seed, shape, 3, /*remote_last_replica=*/true,
           /*kill_remote_at=*/kKillAt,
-          [&stats, &capacity](Remon& mvee, SimWorld& w) {
+          [&stats, &capacity, seed](Remon& mvee, SimWorld& w) {
             stats = w.sim.stats();
             capacity = mvee.sync_agent(0)->capacity();
+            // A refused claim never reaches the wrap gate: the cursor the leader
+            // gates on is one the replica actually reached and acked.
+            EXPECT_LE(mvee.transport()->SyncCursorFor(2), mvee.sync_agent(2)->read_cursor())
+                << "seed " << seed;
           },
           50 * kMicrosecond, /*rb_auth=*/true, ReseedMode::kDelta, forge_cursors);
       ASSERT_GE(stats.rb_remote_deaths, 1u) << "seed " << seed;
@@ -1540,7 +1544,8 @@ struct SuiteSyncOutcome {
 constexpr uint64_t kSuiteSyncLogSize = kSyncLogOffEntries + 8 * kSyncLogEntrySize;
 
 SuiteSyncOutcome RunSuiteSync(const WorkloadSpec& spec, uint64_t seed,
-                              bool remote_last_replica, TimeNs kill_remote_at = 0) {
+                              bool remote_last_replica, TimeNs kill_remote_at = 0,
+                              bool rb_auth = false) {
   constexpr int kReplicas = 3;  // Master + one local slave + one (maybe remote) slave.
   SimWorld w(seed);
   RemonOptions opts;
@@ -1550,6 +1555,7 @@ SuiteSyncOutcome RunSuiteSync(const WorkloadSpec& spec, uint64_t seed,
   opts.use_sync_agent = true;
   opts.sync_log_size = kSuiteSyncLogSize;
   opts.machine = w.server_machine;
+  opts.rb_auth = rb_auth;
   if (remote_last_replica) {
     uint32_t host = w.net.AddMachine("replica-host-1");
     w.net.SetLink(w.server_machine, host, LinkParams{60 * kMicrosecond, 0.125});
@@ -1658,26 +1664,30 @@ TEST(SuiteSyncLockstepTest, RemotePlacementMatchesShmOnParsecShapedPrograms) {
 TEST(SuiteSyncLockstepTest, ReseedMidSuiteRunCarriesSyncLog) {
   // Kill-one-replica variant on the compute shape: tearing the remote replica's
   // link mid-rotation and checkpoint-seeding a replacement must leave every
-  // transcript and the sync log byte-identical to the never-died run.
-  int exercised = 0;
-  for (const WorkloadSpec& spec : SuiteSyncRoster()) {
-    SuiteSyncOutcome base = RunSuiteSync(spec, /*seed=*/7, true);
-    ASSERT_TRUE(base.ok) << spec.name;
+  // transcript and the sync log byte-identical to the never-died run, on plain
+  // and on sealed streams. The sealed leg once deadlocked: the JOIN's cursor was
+  // latched without waking a master parked on the sync-log wrap gate.
+  for (bool rb_auth : {false, true}) {
+    int exercised = 0;
+    for (const WorkloadSpec& spec : SuiteSyncRoster()) {
+      SuiteSyncOutcome base = RunSuiteSync(spec, /*seed=*/7, true);
+      ASSERT_TRUE(base.ok) << spec.name;
 
-    SuiteSyncOutcome reseeded =
-        RunSuiteSync(spec, /*seed=*/7, true, /*kill_remote_at=*/Millis(2));
-    ASSERT_TRUE(reseeded.ok) << spec.name;
-    ASSERT_EQ(base.transcript, reseeded.transcript) << spec.name;
-    ASSERT_EQ(base.sync_transcript, reseeded.sync_transcript) << spec.name;
-    ASSERT_EQ(base.master_log, reseeded.master_log) << spec.name;
-    ASSERT_EQ(reseeded.remote_tail, reseeded.master_tail) << spec.name;
-    ASSERT_EQ(reseeded.remote_log, reseeded.master_log) << spec.name;
-    if (reseeded.remote_deaths > 0) {
-      ++exercised;
-      ASSERT_GE(reseeded.rejoins, 1u) << spec.name;
+      SuiteSyncOutcome reseeded = RunSuiteSync(spec, /*seed=*/7, true,
+                                               /*kill_remote_at=*/Millis(2), rb_auth);
+      ASSERT_TRUE(reseeded.ok) << spec.name << " rb_auth=" << rb_auth;
+      ASSERT_EQ(base.transcript, reseeded.transcript) << spec.name;
+      ASSERT_EQ(base.sync_transcript, reseeded.sync_transcript) << spec.name;
+      ASSERT_EQ(base.master_log, reseeded.master_log) << spec.name;
+      ASSERT_EQ(reseeded.remote_tail, reseeded.master_tail) << spec.name;
+      ASSERT_EQ(reseeded.remote_log, reseeded.master_log) << spec.name;
+      if (reseeded.remote_deaths > 0) {
+        ++exercised;
+        ASSERT_GE(reseeded.rejoins, 1u) << spec.name;
+      }
     }
+    EXPECT_GE(exercised, 3) << "rb_auth=" << rb_auth;  // Most rosters die mid-run.
   }
-  EXPECT_GE(exercised, 3);  // The kill must land mid-run on most rosters.
 }
 
 TEST(PropertyTest, MonitoredPlusUnmonitoredCoversEverything) {

@@ -340,15 +340,16 @@ TEST(SecurityTest, RbMigrationAcrossWorkerRanksIsTransparent) {
 
 // --- Authenticated RB transport (wire v4): active network adversaries --------------
 
-// 3 replicas with the last one behind the RB transport, per-frame authentication on.
-RemonOptions RemoteAuthOptions(SimWorld* w, int replicas = 3) {
+// 3 replicas with the last one behind the RB transport, per-frame authentication
+// on unless `rb_auth` is false.
+RemonOptions RemoteAuthOptions(SimWorld* w, int replicas = 3, bool rb_auth = true) {
   RemonOptions opts;
   opts.mode = MveeMode::kRemon;
   opts.replicas = replicas;
   opts.level = PolicyLevel::kNonsocketRw;
   opts.rb_size = 256 * 1024;
   opts.max_ranks = 4;
-  opts.rb_auth = true;
+  opts.rb_auth = rb_auth;
   uint32_t host = w->net.AddMachine("replica-host-1");
   w->net.SetLink(w->server_machine, host, LinkParams{50 * kMicrosecond, 0.125});
   opts.machine = w->server_machine;
@@ -493,13 +494,17 @@ TEST(SecurityTest, TamperedAckFromCompromisedReplicaTearsLeaderLink) {
   EXPECT_GT(w.sim.stats().rb_remote_deaths, deaths);
 }
 
-TEST(SecurityTest, MismatchedConfigDigestJoinRefused) {
-  // Attested join, identity half: a joiner presenting a different config digest
-  // (wrong build, wrong geometry, wrong descriptor registry — or an impostor) is
+// JOIN verification runs on every stream: the leg without rb_auth (plain CRC
+// streams, unsealed JOIN) must refuse exactly what the sealed leg refuses.
+class JoinVerificationTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(JoinVerificationTest, MismatchedConfigDigestJoinRefused) {
+  // Join, identity half: a joiner presenting a different config digest (wrong
+  // build, wrong geometry, wrong descriptor registry — or an impostor) is
   // refused before any leader state is shipped, and the dead link surfaces as a
   // divergence report rather than a hang.
   SimWorld w(124);
-  Remon mvee(&w.kernel, RemoteAuthOptions(&w));
+  Remon mvee(&w.kernel, RemoteAuthOptions(&w, 3, /*rb_auth=*/GetParam()));
   mvee.Launch(WriterWorkload(40), "bad-digest");
   RemoteSyncAgent* agent = mvee.remote_agent(2);
   ASSERT_NE(agent, nullptr);
@@ -511,13 +516,13 @@ TEST(SecurityTest, MismatchedConfigDigestJoinRefused) {
   EXPECT_TRUE(mvee.divergence_detected());
 }
 
-TEST(SecurityTest, ReplacementSnapshotHeldUntilAttestSucceeds) {
-  // Attested join, re-seed half: while every replacement join keeps presenting a
-  // bad digest, the leader must never ship a checkpoint. The capped respawns then
-  // surface as divergence (a joiner that keeps failing its attestation IS the
+TEST_P(JoinVerificationTest, ReplacementSnapshotHeldUntilAttestSucceeds) {
+  // Join, re-seed half: while every replacement join keeps presenting a bad
+  // digest, the leader must never ship a checkpoint. The capped respawns then
+  // surface as divergence (a joiner that keeps failing its JOIN IS the
   // divergence), with zero snapshot frames on the wire.
   SimWorld w(125);
-  RemonOptions opts = RemoteAuthOptions(&w);
+  RemonOptions opts = RemoteAuthOptions(&w, 3, /*rb_auth=*/GetParam());
   opts.respawn_dead_replicas = true;
   Remon mvee(&w.kernel, opts);
   mvee.Launch(WriterWorkload(400), "held-snapshot");
@@ -543,6 +548,11 @@ TEST(SecurityTest, ReplacementSnapshotHeldUntilAttestSucceeds) {
   EXPECT_EQ(w.sim.stats().rb_replica_joins, 0u);
   EXPECT_TRUE(mvee.divergence_detected());
 }
+
+INSTANTIATE_TEST_SUITE_P(Streams, JoinVerificationTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Sealed" : "Plain";
+                         });
 
 TEST(SecurityTest, AuthInjectedInputNeverSilentlyCorrupts) {
   // Divergence-triggering injection: mid-run, an attacker who somehow *does* get a

@@ -174,7 +174,7 @@ CliArgs Parse(int argc, char** argv) {
     } else if (StartsWith(argv[i], "--respawn-target=", &v)) {
       // Respawn-as-migration: replacements land on replica-host M (same host
       // namespace as --placement=machine:...) instead of the machine the replica
-      // died on. The replacement's join attestation carries the new placement.
+      // died on. The replacement's JOIN carries the new placement.
       args.ok = ParseNumber(v, 1, kIntMax, &c.respawn_target);
     } else if (StartsWith(argv[i], "--kill-replica-at-ms=", &v)) {
       // Fault injection: tear the highest-index remote replica's link down at this
@@ -193,7 +193,7 @@ CliArgs Parse(int argc, char** argv) {
       c.sync_log_size = kb << 10;
     } else if (std::strcmp(argv[i], "--rb-auth") == 0) {
       // Authenticated RB transport (wire v4): MAC + stream encryption on every
-      // cross-machine frame, attested join before a replacement is re-seeded.
+      // cross-machine frame, the JOIN included, and per-epoch key rotation.
       c.rb_auth = true;
     } else if (std::strcmp(argv[i], "--rb-migration") == 0) {
       c.rb_migration = true;
